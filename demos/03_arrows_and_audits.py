@@ -11,12 +11,10 @@ come. Two audits read this structure:
   almost every game, but exact score ties (broken leftward) can produce it;
   the demo replays one such game.
 
-A rendered SVG of a mid-game state is written next to this script.
+A rendered SVG of a mid-game state is written to the current directory.
 
 Run: python3 demos/03_arrows_and_audits.py
 """
-
-import os
 
 from oscm.algorithms import FIRST_FIT, GREEDY, play
 from oscm.model import Request, apply, empty_state, random_two_regular
@@ -32,7 +30,7 @@ def arrow_walkthrough() -> None:
     print(f"arrows (vertex -> slot): {list(arrows(state))}")
     print(f"flow-balance findings: {audit_equator(state)}")
 
-    out = os.path.join(os.path.dirname(__file__), "arrows_example.svg")
+    out = "arrows_example.svg"
     with open(out, "w") as fh:
         fh.write(render_svg(state, RenderSpec(show_arrows=True)))
     print(f"wrote {out}")

@@ -3,12 +3,11 @@
 
 Every trial plays one random instance online, solves the same instance
 exactly offline, audits the trace, and records the ratio. The sweep is
-fully deterministic for a fixed seed.
+fully deterministic for a fixed seed. The per-trial rows of the greedy
+sweep are written to greedy_sweep.csv in the current directory.
 
 Run: python3 demos/04_benchmark_sweep.py
 """
-
-import os
 
 from oscm.algorithms import ALGORITHMS
 from oscm.harness import sweep, write_csv
@@ -33,7 +32,7 @@ def main() -> None:
     for kind, count in sorted(results["greedy"].histogram.items()):
         print(f"  {kind:12} {count}")
 
-    out = os.path.join(os.path.dirname(__file__), "greedy_sweep.csv")
+    out = "greedy_sweep.csv"
     write_csv(results["greedy"], out)
     print(f"\nwrote per-trial rows to {out}")
 

@@ -4,12 +4,13 @@ request source (a fixed instance or an adaptive adversary).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Union
 
-from .crossings import edges_cross, total_crossings
+from .crossings import added_crossings, segment_crossings
 from .model import Instance, PlacementState, Request, apply, empty_state, free_slots
-from .propagation import ArrowMismatchError, DegreeOverflowError, arrows
+from .propagation import ArrowMismatchError, DegreeOverflowError, arrows, unfulfilled_slots
 
 
 class NoFreeSlotError(RuntimeError):
@@ -49,10 +50,7 @@ class RequestSource(Protocol):
 
 def edge_arrow_crossings(state: PlacementState) -> int:
     """Crossings between placed edges and the state's propagation arrows."""
-    edges = state.edges()
-    return sum(
-        1 for arrow in arrows(state) for edge in edges if edges_cross(edge, arrow)
-    )
+    return sum(segment_crossings(state.edges(), arrows(state).arrows))
 
 
 def barycenter_choose(state: PlacementState, request: Request) -> int:
@@ -65,24 +63,60 @@ def barycenter_choose(state: PlacementState, request: Request) -> int:
     return min(free, key=lambda t: (abs(t - target), t))
 
 
-def greedy_choose(state: PlacementState, request: Request) -> int:
-    """Pick the free slot whose simulated insertion minimizes total
-    edge-edge plus edge-arrow crossings; the ascending scan with strict
-    improvement keeps the leftmost slot on ties."""
+def greedy_scores(state: PlacementState, request: Request) -> dict[int, int]:
+    """Score every free slot t in one pass: the total edge-edge plus
+    edge-arrow crossings of the state with `request` placed at t, exactly
+    `total_crossings` plus `edge_arrow_crossings` of that candidate.
+
+    With r = (a, b), `lv` the unfulfilled vertices once r is placed (the
+    same for every t) and `ls` the doubled free-slot list of `state`, the
+    candidate's arrows are `lv` paired with `ls` minus t's two entries.
+    That is the arrow-shift identity: if t is the j-th free slot, arrow k
+    points at ls[k] for k < 2j and at ls[k + 2] otherwise. So the score of
+    t is the sum of
+    - the crossings already on the board;
+    - the crossings of the new edges (a, t) and (b, t) with placed edges;
+    - sum(X[:2j]) + sum(Y[2j:]), where X[k] and Y[k] count the placed edges
+      crossing (lv[k], ls[k]) and (lv[k], ls[k + 2]);
+    - the arrows crossing the new edges: those with k < 2j whose vertex
+      lies above a or b, and those with k >= 2j whose vertex lies below,
+      counted by bisection on the sorted `lv`.
+    A state whose candidates have undefined arrows raises the error
+    `arrows` raises for them. O(n log n) comparisons per call.
+    """
     free = free_slots(state)
     if not free:
         raise NoFreeSlotError("no free slot left")
+    lv = [v for v, _ in arrows(apply(state, request, free[0]))]
+    ls = unfulfilled_slots(state)
+    edges = state.edges()
+    ends = request.vertices
+    board = sum(segment_crossings(edges, edges)) // 2
+    new_edges = segment_crossings(edges, [(v, t) for t in free for v in ends])
+    x = segment_crossings(edges, list(zip(lv, ls)))
+    y = segment_crossings(edges, list(zip(lv, ls[2:])))
+    bounds = [(bisect_left(lv, v), bisect_right(lv, v)) for v in ends]
+    old_arrows = sum(y)
+    scores = {}
+    for j, t in enumerate(free):
+        k = 2 * j
+        new_arrows = sum(max(0, k - hi) + max(0, lo - k) for lo, hi in bounds)
+        scores[t] = board + new_edges[k] + new_edges[k + 1] + old_arrows + new_arrows
+        if k < len(lv):
+            old_arrows += x[k] + x[k + 1] - y[k] - y[k + 1]
+    return scores
+
+
+def greedy_choose(state: PlacementState, request: Request) -> int:
+    """Pick the free slot whose insertion minimizes total edge-edge plus
+    edge-arrow crossings, as scored by `greedy_scores`. `min` keeps the
+    first of equal scores in the ascending scan, so ties go to the leftmost
+    slot; a single free slot is taken without scoring."""
+    free = free_slots(state)
     if len(free) == 1:
         return free[0]
-    best_slot = None
-    best_score = None
-    for slot in free:
-        candidate = apply(state, request, slot)
-        score = total_crossings(candidate) + edge_arrow_crossings(candidate)
-        if best_score is None or score < best_score:
-            best_score = score
-            best_slot = slot
-    return best_slot
+    scores = greedy_scores(state, request)
+    return min(scores, key=scores.__getitem__)
 
 
 def first_fit_choose(state: PlacementState, request: Request) -> int:
@@ -134,12 +168,15 @@ def play(source: Union[Instance, RequestSource], algorithm: OnlineAlgorithm) -> 
         source = _InstanceSource(source)
     state = empty_state(source.n)
     steps: list[TraceStep] = []
+    edge_edge_total = 0
     while True:
         request = source.next_request(state)
         if request is None:
             break
         slot = algorithm.choose(state, request)
-        state = apply(state, request, slot)
+        after = apply(state, request, slot)
+        edge_edge_total += added_crossings(state, request, slot)
+        state = after
         try:
             arrow_total = edge_arrow_crossings(state)
         except (ArrowMismatchError, DegreeOverflowError):
@@ -148,7 +185,7 @@ def play(source: Union[Instance, RequestSource], algorithm: OnlineAlgorithm) -> 
             TraceStep(
                 request=request,
                 slot=slot,
-                edge_edge_total=total_crossings(state),
+                edge_edge_total=edge_edge_total,
                 edge_arrow_total=arrow_total,
             )
         )

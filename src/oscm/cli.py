@@ -15,6 +15,7 @@ from .harness import (
     audit_trace,
     realized_instance,
     run_experiment,
+    score_trace,
     sweep,
     write_csv,
     write_json,
@@ -91,12 +92,7 @@ def _cmd_adversary(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    report, _ = run_experiment(
-        algorithm,
-        realized,
-        source_id=f"{args.name}(n={realized.n})",
-        opt_value=opt_value,
-    )
+    report = score_trace(trace, algorithm.name, f"{args.name}(n={realized.n})", opt_value=opt_value)
     _print_report(report)
     print(f"  opt basis: {opt_note}")
     _write_report(report, trace, args)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .algorithms import OnlineAlgorithm, Trace, play
-from .crossings import PairKind, classify_pair, total_crossings
+from .crossings import PairKind, added_crossings, classify_pair, total_crossings
 from .model import (
     Instance,
     RegularityClass,
@@ -109,7 +109,6 @@ def _gap_findings(state_before, request, slot) -> list[str]:
     """Report 4-0 or 3-0 pairs created in crossing order with a free slot
     strictly between the two fulfilled slots at placement time."""
     findings = []
-    after = apply(state_before, request, slot)
     for other_slot, other_req in state_before.items():
         kind = classify_pair(request, slot, other_req, other_slot)
         worst = max(kind.placed_count, kind.swapped_count)
@@ -118,7 +117,7 @@ def _gap_findings(state_before, request, slot) -> list[str]:
         if kind.placed_count != worst:
             continue
         lo, hi = min(slot, other_slot), max(slot, other_slot)
-        if any(after.is_free(s) for s in range(lo + 1, hi)):
+        if any(state_before.is_free(s) for s in range(lo + 1, hi)):
             findings.append(
                 f"{kind.kind.name} pair ({request.a},{request.b})@{slot} vs "
                 f"({other_req.a},{other_req.b})@{other_slot} with a free slot between"
@@ -134,13 +133,16 @@ def audit_trace(trace: Trace, audits: frozenset[str] = ALL_AUDITS) -> list[str]:
     """
     findings: list[str] = []
     state = empty_state(trace.n)
+    edge_edge_total = 0
     for idx, step in enumerate(trace.steps, start=1):
         if not state.is_free(step.slot):
             raise ReplayMismatchError(f"step {idx} places into unavailable slot {step.slot}")
         if "gap" in audits:
             findings.extend(f"step {idx}: {f}" for f in _gap_findings(state, step.request, step.slot))
-        state = apply(state, step.request, step.slot)
-        if total_crossings(state) != step.edge_edge_total:
+        after = apply(state, step.request, step.slot)
+        edge_edge_total += added_crossings(state, step.request, step.slot)
+        state = after
+        if edge_edge_total != step.edge_edge_total:
             raise ReplayMismatchError(f"step {idx} stored edge-edge total is stale")
         try:
             if "double_cross" in audits:
@@ -168,6 +170,38 @@ def realized_instance(trace: Trace) -> Instance:
     return inst
 
 
+def score_trace(
+    trace: Trace,
+    alg_name: str,
+    source_id: str,
+    audits: frozenset[str] = ALL_AUDITS,
+    opt_value: Optional[int] = None,
+    max_n: Optional[int] = None,
+) -> RatioReport:
+    """Report a finished game's ratio against the exact optimum of the
+    instance it realized, with its pair-kind histogram and audit findings.
+
+    `opt_value` substitutes for the oracle when the game is too large to
+    solve exactly (it must then be a valid optimum or upper bound supplied
+    by the caller; the ratio reported is relative to it).
+    """
+    alg_crossings = total_crossings(trace.final_state)
+    if opt_value is None:
+        opt_value = brute_force_opt(realized_instance(trace), max_n=max_n).opt_crossings
+    ratio, defined = _competitive_ratio(alg_crossings, opt_value)
+    return RatioReport(
+        alg_name=alg_name,
+        source_id=source_id,
+        n=trace.n,
+        alg_crossings=alg_crossings,
+        opt_crossings=opt_value,
+        ratio=ratio,
+        ratio_defined=defined,
+        pair_type_histogram=pair_type_histogram(trace),
+        audit_findings=tuple(audit_trace(trace, audits)),
+    )
+
+
 def run_experiment(
     algorithm: OnlineAlgorithm,
     source,
@@ -176,27 +210,15 @@ def run_experiment(
     opt_value: Optional[int] = None,
     max_n: Optional[int] = None,
 ) -> tuple[RatioReport, Trace]:
-    """Play one full game and report the ratio against the exact optimum.
-
-    `opt_value` substitutes for the oracle when the game is too large to
-    solve exactly (it must then be a valid optimum or upper bound supplied
-    by the caller; the ratio reported is relative to it).
-    """
+    """Play one full game and score it with `score_trace`."""
     trace = play(source, algorithm)
-    alg_crossings = total_crossings(trace.final_state)
-    if opt_value is None:
-        opt_value = brute_force_opt(realized_instance(trace), max_n=max_n).opt_crossings
-    ratio, defined = _competitive_ratio(alg_crossings, opt_value)
-    report = RatioReport(
-        alg_name=algorithm.name,
-        source_id=source_id or getattr(source, "name", "instance"),
-        n=trace.n,
-        alg_crossings=alg_crossings,
-        opt_crossings=opt_value,
-        ratio=ratio,
-        ratio_defined=defined,
-        pair_type_histogram=pair_type_histogram(trace),
-        audit_findings=tuple(audit_trace(trace, audits)),
+    report = score_trace(
+        trace,
+        algorithm.name,
+        source_id or getattr(source, "name", "instance"),
+        audits=audits,
+        opt_value=opt_value,
+        max_n=max_n,
     )
     return report, trace
 

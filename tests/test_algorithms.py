@@ -1,25 +1,32 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from oscm.adversaries import fig8_instance, thm2_adversary
 from oscm.algorithms import (
     ALGORITHMS,
     BARYCENTER,
     FIRST_FIT,
     GREEDY,
     NoFreeSlotError,
+    OnlineAlgorithm,
     edge_arrow_crossings,
     get_algorithm,
+    greedy_scores,
     play,
 )
-from oscm.crossings import total_crossings
+from oscm.crossings import edges_cross, total_crossings
 from oscm.model import (
     Instance,
+    PlacementState,
     Request,
     apply,
     empty_state,
     free_slots,
     random_two_regular,
 )
+from oscm.propagation import ArrowMismatchError, DegreeOverflowError, arrows
 
 
 def occupy(state, slots):
@@ -123,3 +130,114 @@ def test_greedy_choice_is_argmin(n, seed):
         assert scores[chosen] == best
         assert chosen == min(s for s, v in scores.items() if v == best)
         state = apply(state, req, chosen)
+
+
+# The naive greedy scorer, kept as the reference for the one-pass
+# `greedy_scores`: simulate every free slot and recount from scratch.
+
+
+def naive_edge_arrow_crossings(state):
+    edges = state.edges()
+    return sum(1 for arrow in arrows(state) for edge in edges if edges_cross(edge, arrow))
+
+
+def naive_greedy_scores(state, request):
+    scores = {}
+    for slot in free_slots(state):
+        candidate = apply(state, request, slot)
+        scores[slot] = total_crossings(candidate) + naive_edge_arrow_crossings(candidate)
+    return scores
+
+
+def checked_greedy():
+    # Greedy with every decision cross-checked against the oracle, so that
+    # adaptive sources are checked along greedy's own game.
+    def choose(state, request):
+        assert greedy_scores(state, request) == naive_greedy_scores(state, request)
+        return GREEDY.choose(state, request)
+
+    return OnlineAlgorithm(name="checked_greedy", choose=choose)
+
+
+def test_greedy_scores_match_oracle_on_small_random_games():
+    alg = checked_greedy()
+    for n in range(2, 13):
+        for seed in range(25):
+            inst = random_two_regular(n, seed)
+            assert play(inst, alg).steps == play(inst, GREEDY).steps
+
+
+@pytest.mark.parametrize("n", [16, 24, 32, 40])
+def test_greedy_scores_match_oracle_on_larger_games(n):
+    play(random_two_regular(n, seed=n), checked_greedy())
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+def test_greedy_scores_match_oracle_on_adaptive_adversary(rounds):
+    play(thm2_adversary(rounds), checked_greedy())
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_greedy_scores_match_oracle_on_duplicated_pairs(n):
+    play(fig8_instance(n), checked_greedy())
+
+
+def test_greedy_scores_on_partial_random_boards():
+    # Off greedy's own path too: boards filled by arbitrary slot choices.
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(2, 10)
+        inst = random_two_regular(n, rng.randrange(2**31))
+        state = empty_state(n)
+        for req in inst.requests:
+            assert greedy_scores(state, req) == naive_greedy_scores(state, req)
+            state = apply(state, req, rng.choice(free_slots(state)))
+
+
+def test_greedy_degree_overflow_matches_oracle():
+    # Vertex 1 already has degree 2; a third request on it has undefined arrows.
+    state = apply(apply(empty_state(4), Request(1, 2), 1), Request(1, 3), 2)
+    with pytest.raises(DegreeOverflowError) as expected:
+        naive_greedy_scores(state, Request(1, 4))
+    for fn in (greedy_scores, GREEDY.choose):
+        with pytest.raises(DegreeOverflowError) as got:
+            fn(state, Request(1, 4))
+        assert str(got.value) == str(expected.value) == "vertex 1 has degree 3 > 2"
+
+
+def test_greedy_arrow_mismatch_matches_oracle():
+    # A hand-built state with a request outside the board has no arrows.
+    state = PlacementState(n=3, placed={5: Request(1, 2)})
+    with pytest.raises(ArrowMismatchError) as expected:
+        naive_greedy_scores(state, Request(2, 3))
+    with pytest.raises(ArrowMismatchError) as got:
+        greedy_scores(state, Request(2, 3))
+    assert str(got.value) == str(expected.value)
+
+
+def test_greedy_single_free_slot_skips_scoring():
+    # With one slot left the choice is forced, even where arrows are undefined.
+    state = apply(apply(empty_state(3), Request(1, 2), 1), Request(1, 3), 2)
+    assert GREEDY.choose(state, Request(1, 2)) == 3
+
+
+def test_edge_arrow_crossings_matches_naive_count():
+    rng = random.Random(9)
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        inst = random_two_regular(n, rng.randrange(2**31))
+        state = empty_state(n)
+        for req in inst.requests:
+            state = apply(state, req, rng.choice(free_slots(state)))
+            assert edge_arrow_crossings(state) == naive_edge_arrow_crossings(state)
+
+
+@pytest.mark.parametrize("n", [5, 12, 25, 40])
+def test_play_running_totals_match_full_recount(n):
+    for alg in ALGORITHMS.values():
+        trace = play(random_two_regular(n, seed=3 * n), alg)
+        state = empty_state(n)
+        for step in trace.steps:
+            state = apply(state, step.request, step.slot)
+            assert step.edge_edge_total == total_crossings(state)
+            assert step.edge_arrow_total == naive_edge_arrow_crossings(state)

@@ -96,3 +96,21 @@ def test_render_requires_source(capsys):
 def test_missing_instance_file_is_diagnosed(capsys):
     assert main(["opt", "--instance", "/nonexistent.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_adversary_plays_the_game_once(monkeypatch, capsys):
+    import oscm.algorithms
+    import oscm.cli
+    import oscm.harness
+
+    games = []
+
+    def counting_play(source, algorithm):
+        games.append(algorithm.name)
+        return oscm.algorithms.play(source, algorithm)
+
+    monkeypatch.setattr(oscm.cli, "play", counting_play)
+    monkeypatch.setattr(oscm.harness, "play", counting_play)
+    assert main(["adversary", "--name", "thm2", "--rounds", "2", "--algo", "first_fit"]) == 0
+    assert games == ["first_fit"]
+    assert "thm2(n=" in capsys.readouterr().out

@@ -5,10 +5,12 @@ from hypothesis import given, strategies as st
 
 from oscm.crossings import (
     PairKind,
+    added_crossings,
     avoidable_split,
     classify_pair,
     edges_cross,
     pair_crossings,
+    segment_crossings,
     total_crossings,
 )
 from oscm.model import Request, random_two_regular
@@ -119,3 +121,35 @@ def test_uninverting_comparable_pair_never_hurts(n, seed, rng):
             swapped[i] = (sy, rx)
             swapped[j] = (sx, ry)
             assert total_crossings(swapped) <= total_crossings(items)
+
+
+segment_lists = st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)), max_size=14)
+
+
+@given(segment_lists, segment_lists)
+def test_segment_crossings_matches_pairwise_count(edges, segments):
+    # Arbitrary inputs: repeated segments, shared vertices and shared slots.
+    expected = [sum(1 for e in edges if edges_cross(e, seg)) for seg in segments]
+    assert segment_crossings(edges, segments) == expected
+
+
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=0, max_value=10_000),
+    st.randoms(use_true_random=False),
+)
+def test_added_crossings_is_the_total_increment(n, seed, rng):
+    inst = random_two_regular(n, seed)
+    slots = list(range(1, n + 1))
+    rng.shuffle(slots)
+    items = list(zip(slots, inst.requests))
+    for i, (slot, req) in enumerate(items):
+        before = items[:i]
+        assert added_crossings(before, req, slot) == (
+            total_crossings(items[: i + 1]) - total_crossings(before)
+        )
+
+
+def test_added_crossings_rejects_shared_slot():
+    with pytest.raises(ValueError, match="share slot 3"):
+        added_crossings([(3, Request(1, 2))], Request(3, 4), 3)

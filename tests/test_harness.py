@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from oscm.harness import (
     pair_type_histogram,
     realized_instance,
     run_experiment,
+    score_trace,
     sweep,
     unavoidable_lower_bound,
     write_csv,
@@ -66,6 +68,22 @@ def test_audit_trace_flags_constructed_gap():
     findings = audit_trace(trace, audits=frozenset({"gap"}))
     assert any("FOUR_ZERO" in f for f in findings)
     assert any("THREE_ZERO" in f for f in findings)
+
+
+def test_score_trace_is_the_scoring_half_of_run_experiment():
+    inst = random_two_regular(8, seed=2)
+    report, trace = run_experiment(GREEDY, inst, source_id="s")
+    assert score_trace(trace, "greedy", "s") == report
+    assert score_trace(trace, "greedy", "s", opt_value=3).opt_crossings == 3
+
+
+def test_audit_trace_rejects_stale_later_total():
+    # The running total is checked at every step, not only the first.
+    trace = play(random_two_regular(6, seed=4), GREEDY)
+    steps = list(trace.steps)
+    steps[3] = replace(steps[3], edge_edge_total=steps[3].edge_edge_total + 1)
+    with pytest.raises(ReplayMismatchError, match="step 4 stored edge-edge total is stale"):
+        audit_trace(replace(trace, steps=tuple(steps)))
 
 
 def test_audit_trace_empty_trace():

@@ -16,6 +16,7 @@ from oscm.propagation import (
     arrows,
     audit_equator,
     audit_no_double_cross,
+    cut_flows,
     unfulfilled_slots,
     unfulfilled_vertices,
 )
@@ -98,6 +99,33 @@ def test_equator_identity_on_any_reachable_state(n, seed):
     # The flow balance at diagonal cuts is a counting identity, independent
     # of which algorithm produced the state.
     assert audit_equator(_random_reachable_state(n, seed)) == []
+
+
+@st.composite
+def sized_segments(draw):
+    # Arbitrary, usually unbalanced, segment lists; coordinates may fall
+    # outside 1..n, where a segment crosses only the cuts inside it.
+    n = draw(st.integers(min_value=0, max_value=9))
+    coord = st.integers(min_value=0, max_value=n + 2)
+    return n, draw(st.lists(st.tuples(coord, coord), max_size=20))
+
+
+@given(sized_segments())
+def test_cut_flows_match_per_cut_count(data):
+    n, segments = data
+    expected = [
+        (
+            sum(1 for v, s in segments if v <= i and s > i),
+            sum(1 for v, s in segments if v > i and s <= i),
+        )
+        for i in range(1, n + 1)
+    ]
+    assert cut_flows(n, segments) == expected
+
+
+def test_cut_flows_hand_values():
+    assert cut_flows(3, [(1, 3), (3, 1), (2, 2)]) == [(1, 1), (1, 1), (0, 0)]
+    assert cut_flows(2, [(1, 2)]) == [(1, 0), (0, 0)]
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=500))
