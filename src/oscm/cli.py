@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from .adversaries import fig8_instance, thm1_adversary, thm2_adversary
@@ -223,9 +224,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, RuntimeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Anything else is a bug in oscm, not in the user's input.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

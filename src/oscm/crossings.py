@@ -5,6 +5,7 @@ plus the six-way classification of how a pair of placed requests can cross.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -65,21 +66,24 @@ def pair_crossings(r1: Request, s1: int, r2: Request, s2: int) -> int:
 
 
 def total_crossings(placements) -> int:
-    """Sum of pairwise crossings over all placed requests.
+    """Sum of pairwise crossings over all placed requests, counted by one
+    `segment_crossings` sweep: O(n log n) comparisons.
 
-    Accepts a PlacementState or any iterable of (slot, Request) pairs.
+    Accepts a PlacementState or any iterable of (slot, Request) pairs; two
+    requests sharing a slot raise ValueError.
     """
     if isinstance(placements, PlacementState):
         items = placements.items()
     else:
         items = list(placements)
-    total = 0
-    for i in range(len(items)):
-        s1, r1 = items[i]
-        for j in range(i + 1, len(items)):
-            s2, r2 = items[j]
-            total += pair_crossings(r1, s1, r2, s2)
-    return total
+        uses = Counter(s for s, _ in items)
+        shared = next((s for s, _ in items if uses[s] > 1), None)
+        if shared is not None:
+            raise ValueError(f"requests share slot {shared}")
+    edges = [(v, s) for s, r in items for v in (r.a, r.b)]
+    # Every crossing is counted once from each of its two edges; the two
+    # edges of one request share a slot and never cross.
+    return sum(segment_crossings(edges, edges)) // 2
 
 
 def added_crossings(placements, request: Request, slot: int) -> int:
@@ -130,18 +134,40 @@ def segment_crossings(edges, segments) -> list[int]:
     return out
 
 
+def order_counts(r1: Request, r2: Request) -> tuple[int, int]:
+    """(gt, lt): the crossings between r1 and r2 with r1 in the left slot
+    and with r1 in the right slot, from the four endpoint comparisons.
+
+    With r1 left, an edge of r1 crosses an edge of r2 exactly when its
+    vertex lies above the other's, and with r1 right when it lies below.
+    Neither count depends on where the slots are.
+    """
+    a1, b1, a2, b2 = r1.a, r1.b, r2.a, r2.b
+    gt = (a1 > a2) + (a1 > b2) + (b1 > a2) + (b1 > b2)
+    lt = (a1 < a2) + (a1 < b2) + (b1 < a2) + (b1 < b2)
+    return gt, lt
+
+
+_KIND_OF_COUNTS = {kind.value: kind for kind in PairKind}
+
+
+def pair_kind(placed: int, swapped: int) -> PairKind:
+    """The kind of a pair with these crossing counts in its two slot orders."""
+    kind = _KIND_OF_COUNTS.get(frozenset((placed, swapped)))
+    if kind is None:
+        raise UnclassifiablePairError(f"counts ({placed}, {swapped}) match no known kind")
+    return kind
+
+
 def classify_pair(r1: Request, s1: int, r2: Request, s2: int) -> PairCrossKind:
     """Classify a placed pair by its crossing counts in the given and the
     swapped slot order."""
-    placed = pair_crossings(r1, s1, r2, s2)
-    swapped = pair_crossings(r1, s2, r2, s1)
-    label = frozenset({placed, swapped})
-    for kind in PairKind:
-        if kind.value == label:
-            return PairCrossKind(kind=kind, placed_count=placed, swapped_count=swapped)
-    raise UnclassifiablePairError(
-        f"counts ({placed}, {swapped}) for {r1}@{s1} vs {r2}@{s2} match no known kind"
-    )
+    if s1 == s2:
+        raise ValueError(f"requests share slot {s1}")
+    gt, lt = order_counts(r1, r2)
+    placed, swapped = (gt, lt) if s1 < s2 else (lt, gt)
+    kind = pair_kind(placed, swapped)
+    return PairCrossKind(kind=kind, placed_count=placed, swapped_count=swapped)
 
 
 def avoidable_split(alg_total: int, opt_total: int) -> tuple[int, int]:

@@ -10,22 +10,26 @@ import csv
 import json
 import math
 import random
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .algorithms import OnlineAlgorithm, Trace, play
-from .crossings import PairKind, added_crossings, classify_pair, total_crossings
+from .crossings import PairKind, added_crossings, order_counts, pair_kind, total_crossings
 from .model import (
     Instance,
     RegularityClass,
     apply,
     empty_state,
+    free_slots,
     validate_instance,
 )
 from .offline import brute_force_opt
 from .propagation import (
     ArrowMismatchError,
     DegreeOverflowError,
+    arrows,
     audit_equator,
     audit_no_double_cross,
 )
@@ -81,45 +85,50 @@ def _competitive_ratio(alg: int, opt: int) -> tuple[float, bool]:
     return math.inf, False
 
 
+def _order_count_tally(trace: Trace) -> Counter:
+    """How many request pairs of the final layout have each (placed,
+    swapped) crossing count. A pair's kind and unavoidable crossings depend
+    on nothing else, so the histogram and the lower bound read this tally."""
+    items = trace.final_state.items()
+    return Counter(
+        order_counts(r1, r2) for i, (_, r1) in enumerate(items) for _, r2 in items[i + 1 :]
+    )
+
+
 def pair_type_histogram(trace: Trace) -> dict[str, int]:
     """Counts of each pair kind over all request pairs in the final layout."""
     counts = {kind.name: 0 for kind in PairKind}
-    items = trace.final_state.items()
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            s1, r1 = items[i]
-            s2, r2 = items[j]
-            counts[classify_pair(r1, s1, r2, s2).kind.name] += 1
+    for (placed, swapped), pairs in _order_count_tally(trace).items():
+        counts[pair_kind(placed, swapped).name] += pairs
     return counts
 
 
 def unavoidable_lower_bound(trace: Trace) -> int:
     """Sum of per-pair unavoidable crossings; never exceeds the optimum."""
-    items = trace.final_state.items()
-    total = 0
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            s1, r1 = items[i]
-            s2, r2 = items[j]
-            total += classify_pair(r1, s1, r2, s2).unavoidable
-    return total
+    return sum(min(counts) * pairs for counts, pairs in _order_count_tally(trace).items())
 
 
 def _gap_findings(state_before, request, slot) -> list[str]:
     """Report 4-0 or 3-0 pairs created in crossing order with a free slot
-    strictly between the two fulfilled slots at placement time."""
+    strictly between the two fulfilled slots at placement time.
+
+    Such a pair has 3 or 4 crossings as placed and none swapped; the free
+    slots are ascending, so one bisection finds the first free slot past
+    the lower of the two slots.
+    """
     findings = []
+    free = free_slots(state_before)
     for other_slot, other_req in state_before.items():
-        kind = classify_pair(request, slot, other_req, other_slot)
-        worst = max(kind.placed_count, kind.swapped_count)
-        if kind.kind not in (PairKind.FOUR_ZERO, PairKind.THREE_ZERO):
-            continue
-        if kind.placed_count != worst:
+        gt, lt = order_counts(request, other_req)
+        placed, swapped = (gt, lt) if slot < other_slot else (lt, gt)
+        if placed < 3 or swapped:
             continue
         lo, hi = min(slot, other_slot), max(slot, other_slot)
-        if any(state_before.is_free(s) for s in range(lo + 1, hi)):
+        k = bisect_right(free, lo)
+        if k < len(free) and free[k] < hi:
+            kind = PairKind.FOUR_ZERO if placed == 4 else PairKind.THREE_ZERO
             findings.append(
-                f"{kind.kind.name} pair ({request.a},{request.b})@{slot} vs "
+                f"{kind.name} pair ({request.a},{request.b})@{slot} vs "
                 f"({other_req.a},{other_req.b})@{other_slot} with a free slot between"
             )
     return findings
@@ -129,11 +138,13 @@ def audit_trace(trace: Trace, audits: frozenset[str] = ALL_AUDITS) -> list[str]:
     """Replay a trace and collect invariant findings at every step.
 
     Arrow-based audits are skipped on states where arrows are undefined
-    (possible for general, non-2-regular request sequences).
+    (possible for general, non-2-regular request sequences); both share
+    one arrow set per step.
     """
     findings: list[str] = []
     state = empty_state(trace.n)
     edge_edge_total = 0
+    arrow_audits = "double_cross" in audits or "equator" in audits
     for idx, step in enumerate(trace.steps, start=1):
         if not state.is_free(step.slot):
             raise ReplayMismatchError(f"step {idx} places into unavailable slot {step.slot}")
@@ -144,13 +155,16 @@ def audit_trace(trace: Trace, audits: frozenset[str] = ALL_AUDITS) -> list[str]:
         state = after
         if edge_edge_total != step.edge_edge_total:
             raise ReplayMismatchError(f"step {idx} stored edge-edge total is stale")
+        if not arrow_audits:
+            continue
         try:
-            if "double_cross" in audits:
-                findings.extend(f"step {idx}: {f}" for f in audit_no_double_cross(state))
-            if "equator" in audits:
-                findings.extend(f"step {idx}: {f}" for f in audit_equator(state))
+            arrow_set = arrows(state)
         except (ArrowMismatchError, DegreeOverflowError):
-            pass
+            continue
+        if "double_cross" in audits:
+            findings.extend(f"step {idx}: {f}" for f in audit_no_double_cross(state, arrow_set))
+        if "equator" in audits:
+            findings.extend(f"step {idx}: {f}" for f in audit_equator(state, arrow_set))
     return findings
 
 

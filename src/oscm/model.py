@@ -188,10 +188,32 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def _strict_int(value, what: str) -> int:
+    """`value` itself if it is an int (bool excluded); no coercion."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _request_from_pair(pair, index: int) -> Request:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"request {index} must be a pair of vertices, got {pair!r}")
+    a, b = (_strict_int(v, f"request {index} endpoint") for v in pair)
+    return make_request(a, b)
+
+
 def instance_from_dict(data: dict) -> Instance:
+    """Build and validate an instance from its JSON form. Values are taken
+    as they are: a float, bool or string where an integer belongs, or a
+    request that is not a two-element list, raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
+    requests = data["requests"]
+    if not isinstance(requests, (list, tuple)):
+        raise ValueError(f"requests must be a list of pairs, got {requests!r}")
     inst = Instance(
-        n=int(data["n"]),
-        requests=tuple(make_request(int(a), int(b)) for a, b in data["requests"]),
+        n=_strict_int(data["n"], "n"),
+        requests=tuple(_request_from_pair(pair, idx) for idx, pair in enumerate(requests, start=1)),
         regularity_class=RegularityClass(data.get("regularity", "general")),
     )
     violations = validate_instance(inst)

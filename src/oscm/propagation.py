@@ -13,9 +13,11 @@ balance identity that holds for every reachable state.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Optional
 
-from .crossings import edges_cross
 from .model import PlacementState, free_slots
 
 
@@ -69,7 +71,9 @@ def arrows(state: PlacementState) -> PropagationArrowSet:
     return PropagationArrowSet(arrows=tuple(zip(lv, ls)))
 
 
-def audit_no_double_cross(state: PlacementState) -> list[str]:
+def audit_no_double_cross(
+    state: PlacementState, arrow_set: Optional[PropagationArrowSet] = None
+) -> list[str]:
     """Find two arrows into one slot that both fully cross the edges of a
     fulfilled slot.
 
@@ -81,21 +85,36 @@ def audit_no_double_cross(state: PlacementState) -> list[str]:
     avoided-configuration argument needs a strictly better slot further
     right, which a tie does not provide). The audit reports the
     configuration; callers decide whether a finding is an error.
+
+    `arrow_set` is `arrows(state)`, computed here when not given. Each free
+    slot's two arrows are adjacent in the arrow list, and both lower and
+    upper arrow vertices are nondecreasing in slot order. An arrow into a
+    slot left of the fulfilled slot (a, b) crosses both edges when its
+    vertex lies above b, one into a slot right of it when its vertex lies
+    below a. So the targets on the left whose lower vertex lies above b are
+    a suffix, the targets on the right whose upper vertex lies below a are
+    a prefix, and two bisections per fulfilled slot find both, one run of
+    adjacent targets: O(placed * log n + findings).
     """
-    arr = arrows(state).arrows
+    arr = (arrows(state) if arrow_set is None else arrow_set).arrows
+    slots = [t for _, t in arr[::2]]
+    lower = [v for v, _ in arr[::2]]
+    upper = [v for v, _ in arr[1::2]]
+    heads = None  # per target, the finding text up to the fulfilled slot
     findings = []
     for slot, req in state.items():
-        e1, e2 = (req.a, slot), (req.b, slot)
-        by_target: dict[int, list[tuple[int, int]]] = {}
-        for a in arr:
-            if edges_cross(a, e1) and edges_cross(a, e2):
-                by_target.setdefault(a[1], []).append(a)
-        for target, group in by_target.items():
-            if len(group) >= 2:
-                findings.append(
-                    f"arrows {group} into slot {target} each cross both edges "
-                    f"of slot {slot} ({req.a},{req.b})"
-                )
+        split = bisect_left(slots, slot)
+        first = bisect_right(lower, req.b, 0, split)
+        stop = bisect_left(upper, req.a, split)
+        if first == stop:
+            continue
+        if heads is None:
+            heads = [
+                f"arrows [({v}, {t}), ({w}, {t})] into slot {t} each cross both edges of slot "
+                for v, w, t in zip(lower, upper, slots)
+            ]
+        tail = f"{slot} ({req.a},{req.b})"
+        findings.extend([head + tail for head in heads[first:stop]])
     return findings
 
 
@@ -125,7 +144,9 @@ def cut_flows(n: int, segments) -> list[tuple[int, int]]:
     return flows
 
 
-def audit_equator(state: PlacementState) -> list[str]:
+def audit_equator(
+    state: PlacementState, arrow_set: Optional[PropagationArrowSet] = None
+) -> list[str]:
     """Check the flow balance identity: at every cut between positions i and
     i+1 (same threshold on both lines), the number of edges-plus-arrows
     crossing left-to-right equals the number crossing right-to-left.
@@ -134,8 +155,20 @@ def audit_equator(state: PlacementState) -> list[str]:
     (a vertex of degree d has 2 - d arrows, an occupied slot two edges, a
     free slot two arrows). With c = #(v <= i, s <= i), left-to-right is
     #(v <= i) - c = 2i - c and right-to-left is #(s <= i) - c = 2i - c.
+    So the audit cannot fire on any state `arrows` accepts; it stays as a
+    cheap check of the arrow construction. `arrow_set` is `arrows(state)`,
+    computed here when not given.
+
+    The imbalance at cut i is lr - rl = #(v <= i) - #(s <= i), so every cut
+    balances when the segments' vertex and slot multisets agree; one sorted
+    comparison checks that, and `cut_flows` runs only when they differ, to
+    find and word the unbalanced cuts.
     """
-    segments = state.edges() + list(arrows(state))
+    if arrow_set is None:
+        arrow_set = arrows(state)
+    segments = state.edges() + list(arrow_set)
+    if sorted(map(itemgetter(0), segments)) == sorted(map(itemgetter(1), segments)):
+        return []
     return [
         f"cut (v<={i}, s<={i}): {lr} left-to-right vs {rl} right-to-left"
         for i, (lr, rl) in enumerate(cut_flows(state.n, segments), start=1)

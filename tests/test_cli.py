@@ -114,3 +114,39 @@ def test_adversary_plays_the_game_once(monkeypatch, capsys):
     assert main(["adversary", "--name", "thm2", "--rounds", "2", "--algo", "first_fit"]) == 0
     assert games == ["first_fit"]
     assert "thm2(n=" in capsys.readouterr().out
+
+
+def test_user_errors_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 3.5, "requests": []}')
+    assert main(["run", "--algo", "greedy", "--instance", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: n must be an integer, got 3.5\n"
+    assert main(["adversary", "--name", "thm1", "--n", "3", "--algo", "greedy"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        "oscm.crossings.UnclassifiablePairError",
+        "oscm.harness.ReplayMismatchError",
+        "oscm.adversaries.ProtocolError",
+        "builtins.IndexError",
+    ],
+)
+def test_internal_errors_exit_3(error, monkeypatch, capsys):
+    import importlib
+
+    import oscm.cli
+
+    module, name = error.rsplit(".", 1)
+    exc_type = getattr(importlib.import_module(module), name)
+
+    def broken_score_trace(*args, **kwargs):
+        raise exc_type("counter bug")
+
+    monkeypatch.setattr(oscm.cli, "score_trace", broken_score_trace)
+    assert main(["adversary", "--name", "fig8", "--n", "4", "--algo", "greedy"]) == 3
+    first, *rest = capsys.readouterr().err.splitlines()
+    assert first == f"internal error: {name}: counter bug"
+    assert rest[0] == "Traceback (most recent call last):"

@@ -121,3 +121,29 @@ def test_instance_dict_round_trip():
 def test_instance_from_dict_rejects_invalid():
     with pytest.raises(ValueError):
         instance_from_dict({"n": 2, "regularity": "two_regular", "requests": [[1, 2]]})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"n": 3.7, "requests": []}, "n must be an integer, got 3.7"),
+        ({"n": True, "requests": []}, "n must be an integer, got True"),
+        ({"n": "3", "requests": []}, "n must be an integer, got '3'"),
+        ({"n": 3, "requests": [[1, 2.9]]}, "request 1 endpoint must be an integer, got 2.9"),
+        ({"n": 3, "requests": [[1, 2], [False, 2]]}, "request 2 endpoint must be an integer, got False"),
+        ({"n": 3, "requests": ["12"]}, "request 1 must be a pair of vertices, got '12'"),
+        ({"n": 3, "requests": [[1, 2, 3]]}, r"request 1 must be a pair of vertices, got \[1, 2, 3\]"),
+        ({"n": 3, "requests": "12"}, "requests must be a list of pairs, got '12'"),
+        ([3, [[1, 2]]], "an instance must be a JSON object, got list"),
+    ],
+)
+def test_instance_from_dict_rejects_coercible_values(data, message):
+    # Each of these used to load silently as something else: 3.7 and True
+    # as 3 and 1, [1, 2.9] as (1, 2), the string "12" as request (1, 2).
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        instance_from_dict(data)
+
+
+def test_instance_from_dict_keeps_plain_integers():
+    inst = instance_from_dict({"n": 3, "requests": [[2, 1], (3, 1)]})
+    assert inst.requests == (Request(1, 2), Request(1, 3))
