@@ -27,7 +27,6 @@ from .algorithms import (
 from .crossings import (
     PairCrossKind,
     PairKind,
-    avoidable_split,
     classify_pair,
     edges_cross,
     pair_crossings,

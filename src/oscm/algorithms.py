@@ -10,7 +10,7 @@ from typing import Callable, Optional, Protocol, Union
 
 from .crossings import added_crossings, segment_crossings
 from .model import Instance, PlacementState, Request, apply, empty_state, free_slots
-from .propagation import ArrowMismatchError, DegreeOverflowError, arrows, unfulfilled_slots
+from .propagation import arrows, unfulfilled_slots
 
 
 class NoFreeSlotError(RuntimeError):
@@ -28,7 +28,6 @@ class TraceStep:
     request: Request
     slot: int
     edge_edge_total: int
-    edge_arrow_total: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -53,12 +52,18 @@ def edge_arrow_crossings(state: PlacementState) -> int:
     return sum(segment_crossings(state.edges(), arrows(state).arrows))
 
 
-def barycenter_choose(state: PlacementState, request: Request) -> int:
-    """Aim for the slot under the midpoint of the requested vertices; if it
-    is taken, pick the nearest free slot, leftmost on distance ties."""
+def _free_or_raise(state: PlacementState) -> list[int]:
+    """The free slots of `state`, ascending; NoFreeSlotError if none."""
     free = free_slots(state)
     if not free:
         raise NoFreeSlotError("no free slot left")
+    return free
+
+
+def barycenter_choose(state: PlacementState, request: Request) -> int:
+    """Aim for the slot under the midpoint of the requested vertices; if it
+    is taken, pick the nearest free slot, leftmost on distance ties."""
+    free = _free_or_raise(state)
     target = (request.a + request.b) // 2
     return min(free, key=lambda t: (abs(t - target), t))
 
@@ -84,9 +89,7 @@ def greedy_scores(state: PlacementState, request: Request) -> dict[int, int]:
     A state whose candidates have undefined arrows raises the error
     `arrows` raises for them. O(n log n) comparisons per call.
     """
-    free = free_slots(state)
-    if not free:
-        raise NoFreeSlotError("no free slot left")
+    free = _free_or_raise(state)
     lv = [v for v, _ in arrows(apply(state, request, free[0]))]
     ls = unfulfilled_slots(state)
     edges = state.edges()
@@ -121,10 +124,7 @@ def greedy_choose(state: PlacementState, request: Request) -> int:
 
 def first_fit_choose(state: PlacementState, request: Request) -> int:
     """Baseline: always the lowest-index free slot."""
-    free = free_slots(state)
-    if not free:
-        raise NoFreeSlotError("no free slot left")
-    return free[0]
+    return _free_or_raise(state)[0]
 
 
 BARYCENTER = OnlineAlgorithm(name="barycenter", choose=barycenter_choose)
@@ -158,12 +158,8 @@ class _InstanceSource:
 
 
 def play(source: Union[Instance, RequestSource], algorithm: OnlineAlgorithm) -> Trace:
-    """Run a full online game, recording per-step crossing totals.
-
-    The edge-arrow total is None on states where arrows are undefined
-    (degree above two or deficit/capacity mismatch, possible for general
-    instances).
-    """
+    """Run a full online game, recording each step's request, chosen slot
+    and running edge-edge crossing total."""
     if isinstance(source, Instance):
         source = _InstanceSource(source)
     state = empty_state(source.n)
@@ -177,16 +173,5 @@ def play(source: Union[Instance, RequestSource], algorithm: OnlineAlgorithm) -> 
         after = apply(state, request, slot)
         edge_edge_total += added_crossings(state, request, slot)
         state = after
-        try:
-            arrow_total = edge_arrow_crossings(state)
-        except (ArrowMismatchError, DegreeOverflowError):
-            arrow_total = None
-        steps.append(
-            TraceStep(
-                request=request,
-                slot=slot,
-                edge_edge_total=edge_edge_total,
-                edge_arrow_total=arrow_total,
-            )
-        )
+        steps.append(TraceStep(request=request, slot=slot, edge_edge_total=edge_edge_total))
     return Trace(n=state.n, steps=tuple(steps), final_state=state)

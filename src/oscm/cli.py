@@ -5,6 +5,7 @@ oracle, audit traces, benchmark sweeps, and render states to SVG.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from typing import Optional, Sequence
@@ -71,11 +72,8 @@ def _cmd_adversary(args) -> int:
         source = thm1_adversary(args.n)
     elif args.name == "thm2":
         source = thm2_adversary(args.rounds)
-    elif args.name == "fig8":
-        source = fig8_instance(args.n)
     else:
-        print(f"unknown adversary {args.name!r}", file=sys.stderr)
-        return 2
+        source = fig8_instance(args.n)
     trace = play(source, algorithm)
     realized = realized_instance(trace)
     opt_value = None
@@ -164,7 +162,10 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `oscm` argument parser, built once per process; parsing leaves
+    it unchanged, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="oscm",
         description="Laboratory for slotted online one-sided crossing minimization.",
@@ -187,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     p_adv.add_argument("--n", type=int, default=10, help="board size (thm1, fig8)")
     p_adv.add_argument("--rounds", type=int, default=1, help="round count (thm2)")
-    p_adv.add_argument("--seed", type=int, default=0, help="accepted for symmetry; adversaries are deterministic")
     add_report_flags(p_adv)
     p_adv.set_defaults(func=_cmd_adversary)
 

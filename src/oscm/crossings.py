@@ -168,12 +168,3 @@ def classify_pair(r1: Request, s1: int, r2: Request, s2: int) -> PairCrossKind:
     placed, swapped = (gt, lt) if s1 < s2 else (lt, gt)
     kind = pair_kind(placed, swapped)
     return PairCrossKind(kind=kind, placed_count=placed, swapped_count=swapped)
-
-
-def avoidable_split(alg_total: int, opt_total: int) -> tuple[int, int]:
-    """Split an algorithm's crossing count into (unavoidable, avoidable)."""
-    if opt_total < 0 or alg_total < opt_total:
-        raise ValueError(
-            f"algorithm total {alg_total} cannot undercut the optimum {opt_total}"
-        )
-    return opt_total, alg_total - opt_total

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .algorithms import OnlineAlgorithm, Trace, play
+from .algorithms import OnlineAlgorithm, Trace, edge_arrow_crossings, play
 from .crossings import PairKind, added_crossings, order_counts, pair_kind, total_crossings
 from .model import (
     Instance,
@@ -300,18 +300,28 @@ def report_to_dict(report: RatioReport) -> dict:
 
 
 def trace_to_dict(trace: Trace) -> dict:
-    return {
-        "n": trace.n,
-        "steps": [
+    """The trace as JSON-ready data. `play` keeps no edge-arrow totals (the
+    arrows are an analysis aid, not part of a decision), so each step's is
+    counted here on a replay: None on states where arrows are undefined
+    (degree above two or deficit/capacity mismatch, possible for general
+    instances)."""
+    steps = []
+    state = empty_state(trace.n)
+    for s in trace.steps:
+        state = apply(state, s.request, s.slot)
+        try:
+            arrow_total = edge_arrow_crossings(state)
+        except (ArrowMismatchError, DegreeOverflowError):
+            arrow_total = None
+        steps.append(
             {
                 "request": [s.request.a, s.request.b],
                 "slot": s.slot,
                 "edge_edge_total": s.edge_edge_total,
-                "edge_arrow_total": s.edge_arrow_total,
+                "edge_arrow_total": arrow_total,
             }
-            for s in trace.steps
-        ],
-    }
+        )
+    return {"n": trace.n, "steps": steps}
 
 
 _CSV_FIELDS = [

@@ -102,9 +102,6 @@ class PlacementState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "placed", dict(self.placed))
 
-    def degree(self, v: int) -> int:
-        return sum(1 for req in self.placed.values() if v in req.vertices)
-
     def degrees(self) -> list[int]:
         """Per-vertex request count, index 0 unused."""
         deg = [0] * (self.n + 1)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oscm.adversaries import fig8_instance, thm2_adversary
+from oscm.adversaries import fig8_instance, thm1_adversary, thm2_adversary
 from oscm.algorithms import (
     ALGORITHMS,
     BARYCENTER,
@@ -17,6 +17,7 @@ from oscm.algorithms import (
     play,
 )
 from oscm.crossings import edges_cross, total_crossings
+from oscm.harness import trace_to_dict
 from oscm.model import (
     Instance,
     PlacementState,
@@ -105,12 +106,13 @@ def test_traces_are_legal_and_deterministic(name, n, seed):
     alg = ALGORITHMS[name]
     inst = random_two_regular(n, seed)
     trace = play(inst, alg)
+    steps = trace_to_dict(trace)["steps"]
     state = empty_state(n)
-    for step in trace.steps:
+    for i, step in enumerate(trace.steps):
         assert state.is_free(step.slot)
         state = apply(state, step.request, step.slot)
         assert total_crossings(state) == step.edge_edge_total
-        assert step.edge_arrow_total == edge_arrow_crossings(state)
+        assert steps[i]["edge_arrow_total"] == edge_arrow_crossings(state)
     assert play(inst, alg) == trace
 
 
@@ -236,8 +238,45 @@ def test_edge_arrow_crossings_matches_naive_count():
 def test_play_running_totals_match_full_recount(n):
     for alg in ALGORITHMS.values():
         trace = play(random_two_regular(n, seed=3 * n), alg)
+        steps = trace_to_dict(trace)["steps"]
         state = empty_state(n)
-        for step in trace.steps:
+        for i, step in enumerate(trace.steps):
             state = apply(state, step.request, step.slot)
             assert step.edge_edge_total == total_crossings(state)
-            assert step.edge_arrow_total == naive_edge_arrow_crossings(state)
+            assert steps[i]["edge_arrow_total"] == naive_edge_arrow_crossings(state)
+
+
+@pytest.mark.parametrize("n", [4, 6, 10])
+def test_trace_edge_arrow_totals_are_none_where_arrows_are_undefined(n):
+    # thm1's last request overflows a vertex's degree, so that step has no arrows.
+    for alg in ALGORITHMS.values():
+        trace = play(thm1_adversary(n), alg)
+        got = [s["edge_arrow_total"] for s in trace_to_dict(trace)["steps"]]
+        state = empty_state(n)
+        expected = []
+        for step in trace.steps:
+            state = apply(state, step.request, step.slot)
+            try:
+                expected.append(naive_edge_arrow_crossings(state))
+            except DegreeOverflowError:
+                expected.append(None)
+        assert got == expected
+        assert got[-1] is None and None not in got[:-1]
+        if alg is FIRST_FIT and n == 6:
+            assert got == [1, 3, 5, 7, 9, None]
+
+
+def test_play_does_not_build_arrows(monkeypatch):
+    # Arrows are an analysis aid: the game loop of the algorithms that never
+    # look at them must not count them either.
+    import oscm.algorithms
+
+    def refuse(state):
+        raise AssertionError("play built arrows")
+
+    monkeypatch.setattr(oscm.algorithms, "arrows", refuse)
+    monkeypatch.setattr(oscm.algorithms, "edge_arrow_crossings", refuse)
+    for alg in (FIRST_FIT, BARYCENTER):
+        for source in (random_two_regular(12, seed=4), thm1_adversary(6), thm2_adversary(2)):
+            trace = play(source, alg)
+            assert trace.final_state.n == len(trace.steps)

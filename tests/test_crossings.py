@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from oscm.crossings import (
     PairKind,
     added_crossings,
-    avoidable_split,
     classify_pair,
     edges_cross,
     pair_crossings,
@@ -71,13 +70,6 @@ def test_classification_exhaustive_small():
 
 def test_total_crossings_single_request():
     assert total_crossings([(3, Request(1, 2))]) == 0
-
-
-def test_avoidable_split():
-    assert avoidable_split(14, 1) == (1, 13)
-    assert avoidable_split(3, 3) == (3, 0)
-    with pytest.raises(ValueError):
-        avoidable_split(2, 3)
 
 
 @st.composite

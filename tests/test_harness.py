@@ -95,7 +95,7 @@ def test_audit_trace_rejects_corrupt_trace():
     from oscm.algorithms import Trace, TraceStep
     from oscm.model import apply, empty_state
 
-    step = TraceStep(request=Request(1, 2), slot=1, edge_edge_total=7, edge_arrow_total=None)
+    step = TraceStep(request=Request(1, 2), slot=1, edge_edge_total=7)
     state = apply(empty_state(2), Request(1, 2), 1)
     with pytest.raises(ReplayMismatchError):
         audit_trace(Trace(n=2, steps=(step,), final_state=state))

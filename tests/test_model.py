@@ -55,7 +55,7 @@ def test_apply_basics():
     state = empty_state(3)
     state = apply(state, Request(1, 2), 2)
     assert state.placed == {2: Request(1, 2)}
-    assert state.degree(1) == 1 and state.degree(2) == 1 and state.degree(3) == 0
+    assert state.degrees() == [0, 1, 1, 0]
     with pytest.raises(SlotOccupiedError):
         apply(state, Request(2, 3), 2)
     with pytest.raises(SlotRangeError):
