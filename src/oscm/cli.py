@@ -53,8 +53,8 @@ def _print_report(report) -> None:
         f"alg={report.alg_crossings} opt={report.opt_crossings} ratio={ratio} "
         f"violations={report.violation_count}"
     )
-    for finding in report.audit_findings:
-        print(f"  finding: {finding}")
+    if report.audit_findings:
+        print("\n".join(f"  finding: {finding}" for finding in report.audit_findings))
 
 
 def _cmd_run(args) -> int:
@@ -119,8 +119,8 @@ def _cmd_audit(args) -> int:
         f"{algorithm.name} on {args.instance}: "
         f"{len(findings)} finding(s), final crossings={total_crossings(trace.final_state)}"
     )
-    for finding in findings:
-        print(f"  {finding}")
+    if findings:
+        print("\n".join(f"  {finding}" for finding in findings))
     return 1 if findings else 0
 
 
@@ -147,7 +147,9 @@ def _cmd_render(args) -> int:
             state = play(instance, get_algorithm(args.algo)).final_state
         else:
             state = empty_state(instance.n)
-    elif args.n:
+    elif args.n is not None:
+        if args.n < 1:
+            raise ValueError(f"render needs --n >= 1, got {args.n}")
         state = empty_state(args.n)
     else:
         print("render needs --instance or --n", file=sys.stderr)

@@ -10,29 +10,23 @@ import csv
 import json
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .algorithms import OnlineAlgorithm, Trace, edge_arrow_crossings, play
-from .crossings import PairKind, added_crossings, order_counts, pair_kind, total_crossings
-from .model import (
-    Instance,
-    RegularityClass,
-    apply,
-    empty_state,
-    free_slots,
-    validate_instance,
+from .algorithms import OnlineAlgorithm, Trace, play
+from .crossings import (
+    PairKind,
+    added_crossings,
+    order_counts,
+    pair_kind,
+    segment_crossings,
+    total_crossings,
 )
+from .model import Instance, RegularityClass, free_slots, validate_instance
 from .offline import brute_force_opt
-from .propagation import (
-    ArrowMismatchError,
-    DegreeOverflowError,
-    arrows,
-    audit_equator,
-    audit_no_double_cross,
-)
+from .replay import ReplayBoard, gap_pair_findings
 
 ALL_AUDITS = frozenset({"double_cross", "equator", "gap"})
 
@@ -112,59 +106,52 @@ def _gap_findings(state_before, request, slot) -> list[str]:
     """Report 4-0 or 3-0 pairs created in crossing order with a free slot
     strictly between the two fulfilled slots at placement time.
 
-    Such a pair has 3 or 4 crossings as placed and none swapped; the free
-    slots are ascending, so one bisection finds the first free slot past
-    the lower of the two slots.
+    With L the request in the left slot and R the one in the right slot,
+    a pair is in crossing order (swapping it would remove every crossing)
+    exactly when L.a >= R.b. It then has 4 crossings as placed when
+    L.a > R.b and 3 when L.a = R.b, as the two edges at that vertex meet
+    without crossing. A placed slot left of `slot` has a free slot between
+    exactly when it lies left of the nearest free slot below `slot`, and
+    one right of it when it lies right of the nearest free slot above, so
+    bisections find both runs of candidates.
     """
-    findings = []
+    items = state_before.items()
+    slots = [s for s, _ in items]
     free = free_slots(state_before)
-    for other_slot, other_req in state_before.items():
-        gt, lt = order_counts(request, other_req)
-        placed, swapped = (gt, lt) if slot < other_slot else (lt, gt)
-        if placed < 3 or swapped:
-            continue
-        lo, hi = min(slot, other_slot), max(slot, other_slot)
-        k = bisect_right(free, lo)
-        if k < len(free) and free[k] < hi:
-            kind = PairKind.FOUR_ZERO if placed == 4 else PairKind.THREE_ZERO
-            findings.append(
-                f"{kind.name} pair ({request.a},{request.b})@{slot} vs "
-                f"({other_req.a},{other_req.b})@{other_slot} with a free slot between"
-            )
-    return findings
+    below = bisect_left(free, slot)
+    above = bisect_right(free, slot)
+    left_stop = bisect_left(slots, free[below - 1]) if below else 0
+    right_start = bisect_right(slots, free[above]) if above < len(free) else len(items)
+    return gap_pair_findings(request, slot, items, left_stop, right_start)
 
 
 def audit_trace(trace: Trace, audits: frozenset[str] = ALL_AUDITS) -> list[str]:
-    """Replay a trace and collect invariant findings at every step.
+    """Replay a trace on a `ReplayBoard` and collect invariant findings at
+    every step.
 
     Arrow-based audits are skipped on states where arrows are undefined
-    (possible for general, non-2-regular request sequences); both share
-    one arrow set per step.
+    (possible for general, non-2-regular request sequences); both read the
+    board's one arrow list.
     """
     findings: list[str] = []
-    state = empty_state(trace.n)
+    board = ReplayBoard(trace.n, track_arrows="double_cross" in audits or "equator" in audits)
     edge_edge_total = 0
-    arrow_audits = "double_cross" in audits or "equator" in audits
     for idx, step in enumerate(trace.steps, start=1):
-        if not state.is_free(step.slot):
-            raise ReplayMismatchError(f"step {idx} places into unavailable slot {step.slot}")
+        request, slot = step.request, step.slot
+        if not board.is_free(slot):
+            raise ReplayMismatchError(f"step {idx} places into unavailable slot {slot}")
         if "gap" in audits:
-            findings.extend(f"step {idx}: {f}" for f in _gap_findings(state, step.request, step.slot))
-        after = apply(state, step.request, step.slot)
-        edge_edge_total += added_crossings(state, step.request, step.slot)
-        state = after
+            findings.extend(f"step {idx}: {f}" for f in board.gap_findings(request, slot))
+        edge_edge_total += added_crossings(board.items, request, slot)
         if edge_edge_total != step.edge_edge_total:
             raise ReplayMismatchError(f"step {idx} stored edge-edge total is stale")
-        if not arrow_audits:
-            continue
-        try:
-            arrow_set = arrows(state)
-        except (ArrowMismatchError, DegreeOverflowError):
+        board.place(request, slot)
+        if board.lv is None:
             continue
         if "double_cross" in audits:
-            findings.extend(f"step {idx}: {f}" for f in audit_no_double_cross(state, arrow_set))
+            findings.extend(f"step {idx}: {f}" for f in board.double_cross_findings())
         if "equator" in audits:
-            findings.extend(f"step {idx}: {f}" for f in audit_equator(state, arrow_set))
+            findings.extend(f"step {idx}: {f}" for f in board.equator_findings())
     return findings
 
 
@@ -302,17 +289,17 @@ def report_to_dict(report: RatioReport) -> dict:
 def trace_to_dict(trace: Trace) -> dict:
     """The trace as JSON-ready data. `play` keeps no edge-arrow totals (the
     arrows are an analysis aid, not part of a decision), so each step's is
-    counted here on a replay: None on states where arrows are undefined
-    (degree above two or deficit/capacity mismatch, possible for general
-    instances)."""
+    counted here on a `ReplayBoard` replay: None on states where arrows are
+    undefined (a vertex above degree two, possible for general instances;
+    a replayed state always has as many missing edges as slot openings)."""
     steps = []
-    state = empty_state(trace.n)
+    board = ReplayBoard(trace.n)
     for s in trace.steps:
-        state = apply(state, s.request, s.slot)
-        try:
-            arrow_total = edge_arrow_crossings(state)
-        except (ArrowMismatchError, DegreeOverflowError):
+        board.place(s.request, s.slot)
+        if board.lv is None:
             arrow_total = None
+        else:
+            arrow_total = sum(segment_crossings(board.edges(), board.arrows()))
         steps.append(
             {
                 "request": [s.request.a, s.request.b],

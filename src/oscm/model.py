@@ -141,12 +141,18 @@ def empty_state(n: int) -> PlacementState:
     return PlacementState(n=n, placed={})
 
 
+def unavailable_slot_error(n: int, slot: int) -> ValueError:
+    """The error for placing into `slot` on an n-slot board where it is not
+    free: SlotRangeError outside 1..n, SlotOccupiedError otherwise."""
+    if not (1 <= slot <= n):
+        return SlotRangeError(f"slot {slot} out of range 1..{n}")
+    return SlotOccupiedError(f"slot {slot} is already fulfilled")
+
+
 def apply(state: PlacementState, request: Request, slot: int) -> PlacementState:
     """Record `request` at `slot`, returning the new state."""
-    if not (1 <= slot <= state.n):
-        raise SlotRangeError(f"slot {slot} out of range 1..{state.n}")
-    if slot in state.placed:
-        raise SlotOccupiedError(f"slot {slot} is already fulfilled")
+    if not state.is_free(slot):
+        raise unavailable_slot_error(state.n, slot)
     placed = dict(state.placed)
     placed[slot] = request
     return PlacementState(n=state.n, placed=placed)

@@ -95,15 +95,29 @@ def audit_no_double_cross(
     a suffix, the targets on the right whose upper vertex lies below a are
     a prefix, and two bisections per fulfilled slot find both, one run of
     adjacent targets: O(placed * log n + findings).
+
+    The targets are the free slots in ascending order (a state `arrows`
+    accepts has every placed slot in 1..n), so the i-th fulfilled slot s,
+    counting from 0, has s - 1 - i free slots left of it: that is where the
+    left targets end and the right ones begin, with no search.
     """
     arr = (arrows(state) if arrow_set is None else arrow_set).arrows
-    slots = [t for _, t in arr[::2]]
-    lower = [v for v, _ in arr[::2]]
-    upper = [v for v, _ in arr[1::2]]
+    return double_cross_findings(
+        state.items(),
+        [v for v, _ in arr[::2]],
+        [v for v, _ in arr[1::2]],
+        [t for _, t in arr[::2]],
+    )
+
+
+def double_cross_findings(items, lower, upper, targets) -> list[str]:
+    """The double-cross findings of the ascending (slot, request) list
+    `items`, whose free slots `targets` receive the arrows from `lower` and
+    `upper`, as `audit_no_double_cross` describes."""
     heads = None  # per target, the finding text up to the fulfilled slot
     findings = []
-    for slot, req in state.items():
-        split = bisect_left(slots, slot)
+    for i, (slot, req) in enumerate(items):
+        split = slot - 1 - i
         first = bisect_right(lower, req.b, 0, split)
         stop = bisect_left(upper, req.a, split)
         if first == stop:
@@ -111,7 +125,7 @@ def audit_no_double_cross(
         if heads is None:
             heads = [
                 f"arrows [({v}, {t}), ({w}, {t})] into slot {t} each cross both edges of slot "
-                for v, w, t in zip(lower, upper, slots)
+                for v, w, t in zip(lower, upper, targets)
             ]
         tail = f"{slot} ({req.a},{req.b})"
         findings.extend([head + tail for head in heads[first:stop]])
@@ -169,8 +183,14 @@ def audit_equator(
     segments = state.edges() + list(arrow_set)
     if sorted(map(itemgetter(0), segments)) == sorted(map(itemgetter(1), segments)):
         return []
+    return unbalanced_cuts(state.n, segments)
+
+
+def unbalanced_cuts(n: int, segments) -> list[str]:
+    """One finding per cut i = 1..n that `segments` cross unequally in the
+    two directions, worded with both counts."""
     return [
         f"cut (v<={i}, s<={i}): {lr} left-to-right vs {rl} right-to-left"
-        for i, (lr, rl) in enumerate(cut_flows(state.n, segments), start=1)
+        for i, (lr, rl) in enumerate(cut_flows(n, segments), start=1)
         if lr != rl
     ]

@@ -93,6 +93,34 @@ def test_render_requires_source(capsys):
     assert main(["render"]) == 2
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_render_rejects_a_board_size_below_one(n, capsys):
+    assert main(["render", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: render needs --n >= 1, got {n}\n"
+
+
+def test_findings_print_one_line_each(tmp_path, capsys):
+    from oscm.algorithms import FIRST_FIT, play
+    from oscm.harness import audit_trace
+    from oscm.model import Instance, Request
+
+    path = tmp_path / "inst.json"
+    inst = Instance(n=5, requests=(Request(3, 4), Request(1, 2), Request(2, 3), Request(1, 5)))
+    save_instance(inst, str(path))
+    findings = audit_trace(play(inst, FIRST_FIT))
+    assert len(findings) > 1
+    assert main(["audit", "--algo", "first_fit", "--instance", str(path)]) == 1
+    head, *lines = capsys.readouterr().out.split("\n")
+    assert head.endswith(f"{len(findings)} finding(s), final crossings=12")
+    assert lines == [f"  {finding}" for finding in findings] + [""]
+    assert main(["run", "--algo", "first_fit", "--instance", str(path)]) == 0
+    head, *lines = capsys.readouterr().out.split("\n")
+    assert head.endswith(f"violations={len(findings)}")
+    assert lines == [f"  finding: {finding}" for finding in findings] + [""]
+
+
 def test_missing_instance_file_is_diagnosed(capsys):
     assert main(["opt", "--instance", "/nonexistent.json"]) == 2
     assert "error:" in capsys.readouterr().err

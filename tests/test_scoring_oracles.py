@@ -6,18 +6,29 @@ every arrow. The library's fast versions must return exactly the same
 values, findings in the same order, on every step of every game here.
 """
 
+import functools
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oscm.propagation
 from oscm.adversaries import fig8_instance, thm1_adversary, thm2_adversary
-from oscm.algorithms import ALGORITHMS, OnlineAlgorithm, play
+from oscm.algorithms import (
+    ALGORITHMS,
+    OnlineAlgorithm,
+    Trace,
+    TraceStep,
+    edge_arrow_crossings,
+    play,
+)
 from oscm.crossings import (
     PairCrossKind,
     PairKind,
     UnclassifiablePairError,
+    added_crossings,
     classify_pair,
     edges_cross,
     order_counts,
@@ -25,10 +36,12 @@ from oscm.crossings import (
     total_crossings,
 )
 from oscm.harness import (
+    ALL_AUDITS,
     ReplayMismatchError,
     _gap_findings,
     audit_trace,
     pair_type_histogram,
+    trace_to_dict,
     unavoidable_lower_bound,
 )
 from oscm.model import (
@@ -49,6 +62,7 @@ from oscm.propagation import (
     audit_no_double_cross,
     cut_flows,
 )
+from oscm.replay import ReplayBoard
 
 ARROW_ERRORS = (ArrowMismatchError, DegreeOverflowError)
 
@@ -105,8 +119,8 @@ def oracle_gap(state_before, request, slot):
     return findings
 
 
-def oracle_double_cross(state):
-    arr = arrows(state).arrows
+def oracle_double_cross(state, arrow_set=None):
+    arr = (arrows(state) if arrow_set is None else arrow_set).arrows
     findings = []
     for slot, req in state.items():
         e1, e2 = (req.a, slot), (req.b, slot)
@@ -190,6 +204,47 @@ def random_slot_algorithm(seed):
 ALL_ALGORITHMS = [ALGORITHMS[name] for name in sorted(ALGORITHMS)]
 
 
+def two_regular_games(alg):
+    # Every size up to 24, then every fourth up to 40: the cubic oracles
+    # make the largest games the slowest.
+    for n in [*range(2, 25), 28, 32, 36, 40]:
+        for seed in range(3) if n <= 12 else (n,):
+            yield play(random_two_regular(n, seed), alg)
+
+
+def adversary_games(alg):
+    sources = [thm1_adversary(n) for n in (4, 7, 12)]
+    sources += [thm2_adversary(rounds) for rounds in (1, 2)]
+    sources += [fig8_instance(n) for n in (4, 8, 14)]
+    for source in sources:
+        yield play(source, alg)
+
+
+def random_slot_games():
+    # Random slot choices reach far more double-cross and gap findings than
+    # any of the three algorithms.
+    for n in range(2, 21):
+        for seed in range(4):
+            yield play(random_two_regular(n, seed), random_slot_algorithm(seed))
+
+
+def general_games():
+    # Requests drawn with replacement: vertices may exceed degree two, so
+    # arrows are undefined on some states and both sides skip the same ones.
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(2, 14)
+        count = rng.randint(0, n)
+        requests = tuple(Request(*sorted(rng.sample(range(1, n + 1), 2))) for _ in range(count))
+        yield play(Instance(n=n, requests=requests), random_slot_algorithm(n))
+
+
+@functools.cache
+def all_grid_games():
+    games = [g for alg in ALL_ALGORITHMS for g in (*two_regular_games(alg), *adversary_games(alg))]
+    return (*games, *random_slot_games(), *general_games())
+
+
 # ------------------------------------------------------------------- tests
 
 
@@ -207,40 +262,24 @@ def test_classify_pair_matches_simulation_on_every_pair():
 
 @pytest.mark.parametrize("alg", ALL_ALGORITHMS, ids=lambda a: a.name)
 def test_scoring_matches_oracles_on_random_two_regular_games(alg):
-    # Every size up to 24, then every fourth up to 40: the cubic oracles
-    # make the largest games the slowest.
-    for n in [*range(2, 25), 28, 32, 36, 40]:
-        for seed in range(3) if n <= 12 else (n,):
-            assert_trace_matches(play(random_two_regular(n, seed), alg))
+    for trace in two_regular_games(alg):
+        assert_trace_matches(trace)
 
 
 @pytest.mark.parametrize("alg", ALL_ALGORITHMS, ids=lambda a: a.name)
 def test_scoring_matches_oracles_on_adversaries(alg):
-    sources = [thm1_adversary(n) for n in (4, 7, 12)]
-    sources += [thm2_adversary(rounds) for rounds in (1, 2)]
-    sources += [fig8_instance(n) for n in (4, 8, 14)]
-    for source in sources:
-        assert_trace_matches(play(source, alg))
+    for trace in adversary_games(alg):
+        assert_trace_matches(trace)
 
 
 def test_scoring_matches_oracles_on_random_slot_games():
-    # Random slot choices reach far more double-cross and gap findings than
-    # any of the three algorithms.
-    for n in range(2, 21):
-        for seed in range(4):
-            trace = play(random_two_regular(n, seed), random_slot_algorithm(seed))
-            assert_trace_matches(trace)
+    for trace in random_slot_games():
+        assert_trace_matches(trace)
 
 
 def test_scoring_matches_oracles_on_general_instances():
-    # Requests drawn with replacement: vertices may exceed degree two, so
-    # arrows are undefined on some states and both sides skip the same ones.
-    rng = random.Random(7)
-    for _ in range(60):
-        n = rng.randint(2, 14)
-        count = rng.randint(0, n)
-        requests = tuple(Request(*sorted(rng.sample(range(1, n + 1), 2))) for _ in range(count))
-        assert_trace_matches(play(Instance(n=n, requests=requests), random_slot_algorithm(n)))
+    for trace in general_games():
+        assert_trace_matches(trace)
 
 
 def test_scoring_matches_oracles_on_partial_and_hand_built_states():
@@ -302,26 +341,214 @@ def test_audit_equator_words_an_unbalanced_arrow_set(monkeypatch):
     assert audit_equator(state, unbalanced) == findings
 
 
-def test_audit_trace_builds_one_arrow_set_per_step_for_both_audits(monkeypatch):
-    import oscm.harness
-
+def test_audit_trace_shares_the_board_arrows_between_both_audits(monkeypatch):
     trace = play(Instance(n=4, requests=(Request(1, 2), Request(3, 4))), ALGORITHMS["first_fit"])
-    built = []
+    place = ReplayBoard.place
 
-    def unbalanced_arrows(state):
-        # Every arrow moved to vertex 1, so the cuts no longer balance.
-        arrow_set = PropagationArrowSet(arrows=tuple((1, t) for _, t in arrows(state)))
-        built.append(arrow_set)
-        return arrow_set
+    def place_then_corrupt(board, request, slot):
+        # The audits read a corrupted arrow list with every arrow moved to
+        # vertex 1, so the cuts no longer balance; placing edits the true one.
+        board.lv = getattr(board, "true_lv", board.lv)
+        place(board, request, slot)
+        board.true_lv = board.lv
+        board.lv = [1] * len(board.lv)
 
-    monkeypatch.setattr(oscm.harness, "arrows", unbalanced_arrows)
+    monkeypatch.setattr(ReplayBoard, "place", place_then_corrupt)
     findings = audit_trace(trace, audits=frozenset({"double_cross", "equator"}))
-    assert len(built) == len(trace.steps)
     state = empty_state(trace.n)
     expected = []
-    for idx, (step, arrow_set) in enumerate(zip(trace.steps, built), start=1):
+    for idx, step in enumerate(trace.steps, start=1):
         state = apply(state, step.request, step.slot)
-        expected += [f"step {idx}: {f}" for f in audit_no_double_cross(state, arrow_set)]
-        expected += [f"step {idx}: {f}" for f in oracle_equator(state, arrow_set)]
+        corrupted = PropagationArrowSet(arrows=tuple((1, t) for _, t in arrows(state)))
+        assert audit_equator(state, corrupted) == oracle_equator(state, corrupted) != []
+        expected += [f"step {idx}: {f}" for f in oracle_double_cross(state, corrupted)]
+        expected += [f"step {idx}: {f}" for f in oracle_equator(state, corrupted)]
     assert findings == expected
+    assert any("each cross both edges" in f for f in findings)
     assert any("left-to-right" in f for f in findings)
+
+
+# ------------------------------------------------ replay board vs per-step
+
+
+def per_step_audit_trace(trace, audits=ALL_AUDITS):
+    """`audit_trace` as it was before the replay board: every step builds a
+    new state with `apply` and a new arrow set with `arrows`."""
+    findings = []
+    state = empty_state(trace.n)
+    edge_edge_total = 0
+    arrow_audits = "double_cross" in audits or "equator" in audits
+    for idx, step in enumerate(trace.steps, start=1):
+        if not state.is_free(step.slot):
+            raise ReplayMismatchError(f"step {idx} places into unavailable slot {step.slot}")
+        if "gap" in audits:
+            findings.extend(f"step {idx}: {f}" for f in _gap_findings(state, step.request, step.slot))
+        after = apply(state, step.request, step.slot)
+        edge_edge_total += added_crossings(state, step.request, step.slot)
+        state = after
+        if edge_edge_total != step.edge_edge_total:
+            raise ReplayMismatchError(f"step {idx} stored edge-edge total is stale")
+        if not arrow_audits:
+            continue
+        try:
+            arrow_set = arrows(state)
+        except ARROW_ERRORS:
+            continue
+        if "double_cross" in audits:
+            findings.extend(f"step {idx}: {f}" for f in audit_no_double_cross(state, arrow_set))
+        if "equator" in audits:
+            findings.extend(f"step {idx}: {f}" for f in audit_equator(state, arrow_set))
+    return findings
+
+
+def per_step_trace_to_dict(trace):
+    """`trace_to_dict` as it was before the replay board."""
+    steps = []
+    state = empty_state(trace.n)
+    for s in trace.steps:
+        state = apply(state, s.request, s.slot)
+        try:
+            arrow_total = edge_arrow_crossings(state)
+        except ARROW_ERRORS:
+            arrow_total = None
+        steps.append(
+            {
+                "request": [s.request.a, s.request.b],
+                "slot": s.slot,
+                "edge_edge_total": s.edge_edge_total,
+                "edge_arrow_total": arrow_total,
+            }
+        )
+    return {"n": trace.n, "steps": steps}
+
+
+AUDIT_SUBSETS = [
+    frozenset(audits) for k in range(4) for audits in combinations(sorted(ALL_AUDITS), k)
+]
+
+
+def scripted_trace(n, pairs, slots, stale_at=None):
+    """A trace of `pairs` placed at `slots`, unchecked, with running totals
+    counted as they should be except one more at step `stale_at`."""
+    steps, placed, total = [], {}, 0
+    for idx, ((a, b), slot) in enumerate(zip(pairs, slots), start=1):
+        request = Request(a, b)
+        total += added_crossings(((s, q) for s, q in placed.items() if s != slot), request, slot)
+        placed[slot] = request
+        steps.append(TraceStep(request, slot, total + (idx == stale_at)))
+    return Trace(n=n, steps=tuple(steps), final_state=empty_state(n))
+
+
+def raised(fn, *args):
+    """Like `outcome`, but also for the IndexError a vertex above n raises
+    where arrows are built."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_replays_agree(trace):
+    """The board and the per-step replay agree on every prefix of the
+    trace under every audit subset: the same findings, or the same error
+    raised at the same step; `trace_to_dict` likewise."""
+    for stop in range(len(trace.steps) + 1):
+        prefix = replace(trace, steps=trace.steps[:stop])
+        for audits in AUDIT_SUBSETS:
+            assert raised(audit_trace, prefix, audits) == raised(
+                per_step_audit_trace, prefix, audits
+            )
+        assert raised(trace_to_dict, prefix) == raised(per_step_trace_to_dict, prefix)
+
+
+@pytest.mark.parametrize("audits", AUDIT_SUBSETS, ids=lambda a: "+".join(sorted(a)) or "none")
+def test_board_replay_matches_per_step_replay_on_game_grids(audits):
+    for trace in all_grid_games():
+        assert audit_trace(trace, audits) == per_step_audit_trace(trace, audits)
+
+
+def test_board_trace_to_dict_matches_per_step_replay_on_game_grids():
+    for trace in all_grid_games():
+        assert trace_to_dict(trace) == per_step_trace_to_dict(trace)
+
+
+TWO_REGULAR_6 = [(1, 2), (3, 4), (5, 6), (1, 3), (2, 5), (4, 6)]
+
+
+@pytest.mark.parametrize(
+    "slots, error",
+    [
+        ([2, 5, 0, 1, 3, 4], "step 3 places into unavailable slot 0"),
+        ([2, 5, 7, 1, 3, 4], "step 3 places into unavailable slot 7"),
+        ([2, 5, 1, 5, 3, 4], "step 4 places into unavailable slot 5"),
+    ],
+)
+def test_board_replay_rejects_unavailable_slots_at_the_same_step(slots, error):
+    trace = scripted_trace(6, TWO_REGULAR_6, slots)
+    for audits in AUDIT_SUBSETS:
+        with pytest.raises(ReplayMismatchError, match=f"^{error}$"):
+            audit_trace(trace, audits)
+    assert_replays_agree(trace)
+
+
+def test_board_replay_rejects_a_stale_total_at_the_same_step():
+    trace = scripted_trace(6, TWO_REGULAR_6, [6, 1, 4, 2, 5, 3], stale_at=4)
+    for audits in AUDIT_SUBSETS:
+        with pytest.raises(ReplayMismatchError, match="^step 4 stored edge-edge total is stale$"):
+            audit_trace(trace, audits)
+    assert_replays_agree(trace)
+
+
+def test_board_replay_stops_arrow_audits_at_degree_overflow():
+    # Vertex 1 reaches degree three at step 4. From then on the arrows are
+    # undefined, while the gap audit still reports the 4-0 pair of step 5.
+    trace = scripted_trace(6, [(5, 6), (1, 2), (1, 3), (1, 4), (2, 3)], [1, 3, 6, 5, 4])
+    findings = audit_trace(trace)
+    assert any(f.startswith("step 2: arrows") for f in findings)
+    assert any(f.startswith("step 2: FOUR_ZERO") for f in findings)
+    assert "step 5: FOUR_ZERO pair (2,3)@4 vs (5,6)@1 with a free slot between" in findings
+    assert not any(f.startswith(("step 4: arrows", "step 5: arrows")) for f in findings)
+    assert_replays_agree(trace)
+
+
+@pytest.mark.parametrize(
+    "pairs, slots",
+    [
+        ([(1, 2), (3, 5), (2, 4)], [1, 4, 2]),
+        # Vertex 1 overflows at step 3; the arrows stay undefined, and vertex
+        # 5 still raises at step 4.
+        ([(1, 2), (1, 3), (1, 4), (2, 5)], [1, 2, 3, 4]),
+    ],
+)
+def test_board_replay_raises_index_error_on_a_vertex_above_n_only_for_arrow_audits(pairs, slots):
+    trace = scripted_trace(4, pairs, slots)
+    for audits in AUDIT_SUBSETS:
+        if audits & {"double_cross", "equator"}:
+            with pytest.raises(IndexError):
+                audit_trace(trace, audits)
+        else:
+            audit_trace(trace, audits)
+    assert_replays_agree(trace)
+
+
+@st.composite
+def random_traces(draw):
+    """Random requests (a vertex may lie above n) at random slots: mostly
+    free ones, sometimes any slot in 0..n+1; sometimes one stale total."""
+    n = draw(st.integers(1, 9))
+    pairs, slots, free = [], [], list(range(1, n + 1))
+    for _ in range(draw(st.integers(0, n + 1))):
+        a = draw(st.integers(1, n))
+        pairs.append((a, draw(st.integers(a + 1, n + 1))))
+        slot = draw(st.sampled_from(free) | st.integers(0, n + 1)) if free else n
+        slots.append(slot)
+        if slot in free:
+            free.remove(slot)
+    stale_at = draw(st.none() | st.integers(1, max(len(pairs), 1)))
+    return scripted_trace(n, pairs, slots, stale_at)
+
+
+@given(random_traces())
+@settings(max_examples=200, deadline=None)
+def test_board_replay_matches_per_step_replay_on_random_traces(trace):
+    assert_replays_agree(trace)
