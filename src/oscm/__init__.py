@@ -8,7 +8,7 @@ Library layout:
 - :mod:`oscm.algorithms` — online algorithms and the game loop.
 - :mod:`oscm.offline` — exact offline oracle.
 - :mod:`oscm.adversaries` — adversarial request sources.
-- :mod:`oscm.replay` — a trace replayed on one incremental board, for the audits.
+- :mod:`oscm.replay` — the mutable board that games are played and replayed on.
 - :mod:`oscm.harness` — experiments, audits, sweeps, reports.
 - :mod:`oscm.render` — deterministic SVG rendering.
 """

@@ -8,9 +8,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Union
 
-from .crossings import added_crossings, segment_crossings
-from .model import Instance, PlacementState, Request, apply, empty_state, free_slots
-from .propagation import arrows, unfulfilled_slots
+from .model import Instance, PlacementState, Request
+from .propagation import degree_overflow_error
+from .replay import ReplayBoard
 
 
 class NoFreeSlotError(RuntimeError):
@@ -20,7 +20,7 @@ class NoFreeSlotError(RuntimeError):
 @dataclass(frozen=True)
 class OnlineAlgorithm:
     name: str
-    choose: Callable[[PlacementState, Request], int]
+    choose: Callable[[ReplayBoard, Request], int]
 
 
 @dataclass(frozen=True)
@@ -44,87 +44,106 @@ class Trace:
 class RequestSource(Protocol):
     n: int
 
-    def next_request(self, state: PlacementState) -> Optional[Request]: ...
+    def next_request(self, state: ReplayBoard) -> Optional[Request]: ...
 
 
-def edge_arrow_crossings(state: PlacementState) -> int:
-    """Crossings between placed edges and the state's propagation arrows."""
-    return sum(segment_crossings(state.edges(), arrows(state).arrows))
-
-
-def _free_or_raise(state: PlacementState) -> list[int]:
-    """The free slots of `state`, ascending; NoFreeSlotError if none."""
-    free = free_slots(state)
-    if not free:
+def _free_or_raise(board: ReplayBoard) -> list[int]:
+    """The board's free slots, ascending; NoFreeSlotError if none."""
+    if not board.free:
         raise NoFreeSlotError("no free slot left")
-    return free
+    return board.free
 
 
-def barycenter_choose(state: PlacementState, request: Request) -> int:
+def barycenter_choose(board: ReplayBoard, request: Request) -> int:
     """Aim for the slot under the midpoint of the requested vertices; if it
-    is taken, pick the nearest free slot, leftmost on distance ties."""
-    free = _free_or_raise(state)
+    is taken, pick the nearest free slot, leftmost on distance ties. The
+    nearest free slots at or right of the target and left of it are
+    neighbours in the ascending free list, so one bisection finds both."""
+    free = _free_or_raise(board)
     target = (request.a + request.b) // 2
-    return min(free, key=lambda t: (abs(t - target), t))
+    k = bisect_left(free, target)
+    if k == len(free) or (k and target - free[k - 1] <= free[k] - target):
+        return free[k - 1]
+    return free[k]
 
 
-def greedy_scores(state: PlacementState, request: Request) -> dict[int, int]:
-    """Score every free slot t in one pass: the total edge-edge plus
-    edge-arrow crossings of the state with `request` placed at t, exactly
-    `total_crossings` plus `edge_arrow_crossings` of that candidate.
+def greedy_scores(board: ReplayBoard, request: Request) -> dict[int, int]:
+    """Score every free slot t of the board in one pass: the total
+    edge-edge plus edge-arrow crossings with `request` placed at t.
 
-    With r = (a, b), `lv` the unfulfilled vertices once r is placed (the
-    same for every t) and `ls` the doubled free-slot list of `state`, the
-    candidate's arrows are `lv` paired with `ls` minus t's two entries.
-    That is the arrow-shift identity: if t is the j-th free slot, arrow k
-    points at ls[k] for k < 2j and at ls[k + 2] otherwise. So the score of
-    t is the sum of
-    - the crossings already on the board;
-    - the crossings of the new edges (a, t) and (b, t) with placed edges;
-    - sum(X[:2j]) + sum(Y[2j:]), where X[k] and Y[k] count the placed edges
-      crossing (lv[k], ls[k]) and (lv[k], ls[k + 2]);
-    - the arrows crossing the new edges: those with k < 2j whose vertex
-      lies above a or b, and those with k >= 2j whose vertex lies below,
-      counted by bisection on the sorted `lv`.
-    A state whose candidates have undefined arrows raises the error
-    `arrows` raises for them. O(n log n) comparisons per call.
+    With r = (a, b) and `lv` the unfulfilled vertices once r is placed
+    (the same for every t), the candidate's arrows are `lv` paired with the
+    doubled free-slot list minus t's two entries. Take a placed slot s with
+    f free slots left of it. If t lies left of s (t is the j-th free slot,
+    j < f), 2f - 2 arrows point left of s, and otherwise 2f; either way the
+    arrows crossing an edge at s are one contiguous run
+    (`replay.arrows_crossing`). The new edge (a, t) crosses an edge (v, s)
+    when v < a if t lies left of s, and when v > a if t lies right of it;
+    likewise (b, t). So each placed slot adds one value to the score of
+    every t left of it and another to that of every t right of it, and one
+    difference array over the free slots sums them all. The arrows crossing
+    the new edges are the runs of `lv` against 2j arrows pointing left of
+    t. The board's own crossings are its running total.
+
+    A board whose candidates have undefined arrows raises the error
+    `propagation.arrows` raises for them. O(n) list work plus two
+    bisections per placed edge.
     """
-    free = _free_or_raise(state)
-    lv = [v for v, _ in arrows(apply(state, request, free[0]))]
-    ls = unfulfilled_slots(state)
-    edges = state.edges()
-    ends = request.vertices
-    board = sum(segment_crossings(edges, edges)) // 2
-    new_edges = segment_crossings(edges, [(v, t) for t in free for v in ends])
-    x = segment_crossings(edges, list(zip(lv, ls)))
-    y = segment_crossings(edges, list(zip(lv, ls[2:])))
-    bounds = [(bisect_left(lv, v), bisect_right(lv, v)) for v in ends]
-    old_arrows = sum(y)
+    free = _free_or_raise(board)
+    a, b = request.a, request.b
+    degree = board.degree
+    if board.lv is None or degree[a] == 2 or degree[b] == 2:
+        deg = board.degrees()
+        deg[a] += 1
+        deg[b] += 1
+        raise degree_overflow_error(deg)
+    lv = board.lv.copy()
+    del lv[bisect_left(lv, a)]
+    del lv[bisect_left(lv, b)]
+    total = board.edge_edge_total
+    step = [0] * (len(free) + 1)
+    for i, (s, q) in enumerate(board.by_slot):
+        f = s - 1 - i
+        right = 2 * f
+        left = right - 2
+        qa, qb = q.a, q.b
+        # The run lengths of `replay.arrows_crossing` at both splits, with
+        # one pair of bisections per edge.
+        lo, hi = bisect_left(lv, qa), bisect_right(lv, qa)
+        on_left = left - hi if left > hi else lo - left if lo > left else 0
+        on_right = right - hi if right > hi else lo - right if lo > right else 0
+        lo, hi = bisect_left(lv, qb), bisect_right(lv, qb)
+        on_left += left - hi if left > hi else lo - left if lo > left else 0
+        on_right += right - hi if right > hi else lo - right if lo > right else 0
+        on_left += (qa < a) + (qa < b) + (qb < a) + (qb < b)
+        on_right += (qa > a) + (qa > b) + (qb > a) + (qb > b)
+        # For f = 0 no free slot lies left of s, and on_left cancels at once.
+        total += on_left
+        step[f] += on_right - on_left
+    lo_a, hi_a = bisect_left(lv, a), bisect_right(lv, a)
+    lo_b, hi_b = bisect_left(lv, b), bisect_right(lv, b)
     scores = {}
     for j, t in enumerate(free):
+        total += step[j]
         k = 2 * j
-        new_arrows = sum(max(0, k - hi) + max(0, lo - k) for lo, hi in bounds)
-        scores[t] = board + new_edges[k] + new_edges[k + 1] + old_arrows + new_arrows
-        if k < len(lv):
-            old_arrows += x[k] + x[k + 1] - y[k] - y[k + 1]
+        scores[t] = total + max(k - hi_a, lo_a - k, 0) + max(k - hi_b, lo_b - k, 0)
     return scores
 
 
-def greedy_choose(state: PlacementState, request: Request) -> int:
+def greedy_choose(board: ReplayBoard, request: Request) -> int:
     """Pick the free slot whose insertion minimizes total edge-edge plus
     edge-arrow crossings, as scored by `greedy_scores`. `min` keeps the
     first of equal scores in the ascending scan, so ties go to the leftmost
     slot; a single free slot is taken without scoring."""
-    free = free_slots(state)
-    if len(free) == 1:
-        return free[0]
-    scores = greedy_scores(state, request)
+    if len(board.free) == 1:
+        return board.free[0]
+    scores = greedy_scores(board, request)
     return min(scores, key=scores.__getitem__)
 
 
-def first_fit_choose(state: PlacementState, request: Request) -> int:
+def first_fit_choose(board: ReplayBoard, request: Request) -> int:
     """Baseline: always the lowest-index free slot."""
-    return _free_or_raise(state)[0]
+    return _free_or_raise(board)[0]
 
 
 BARYCENTER = OnlineAlgorithm(name="barycenter", choose=barycenter_choose)
@@ -158,20 +177,18 @@ class _InstanceSource:
 
 
 def play(source: Union[Instance, RequestSource], algorithm: OnlineAlgorithm) -> Trace:
-    """Run a full online game, recording each step's request, chosen slot
-    and running edge-edge crossing total."""
+    """Run a full online game on one `ReplayBoard`, recording each step's
+    request, chosen slot and running edge-edge crossing total. The source
+    and the algorithm see the live board; the final state is built once."""
     if isinstance(source, Instance):
         source = _InstanceSource(source)
-    state = empty_state(source.n)
+    board = ReplayBoard(source.n)
     steps: list[TraceStep] = []
-    edge_edge_total = 0
     while True:
-        request = source.next_request(state)
+        request = source.next_request(board)
         if request is None:
             break
-        slot = algorithm.choose(state, request)
-        after = apply(state, request, slot)
-        edge_edge_total += added_crossings(state, request, slot)
-        state = after
-        steps.append(TraceStep(request=request, slot=slot, edge_edge_total=edge_edge_total))
-    return Trace(n=state.n, steps=tuple(steps), final_state=state)
+        slot = algorithm.choose(board, request)
+        board.place(request, slot)
+        steps.append(TraceStep(request=request, slot=slot, edge_edge_total=board.edge_edge_total))
+    return Trace(n=board.n, steps=tuple(steps), final_state=board.state())

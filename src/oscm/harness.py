@@ -10,23 +10,15 @@ import csv
 import json
 import math
 import random
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .algorithms import OnlineAlgorithm, Trace, play
-from .crossings import (
-    PairKind,
-    added_crossings,
-    order_counts,
-    pair_kind,
-    segment_crossings,
-    total_crossings,
-)
-from .model import Instance, RegularityClass, free_slots, validate_instance
+from .crossings import PairKind, order_counts, pair_kind, total_crossings
+from .model import Instance, RegularityClass, validate_instance
 from .offline import brute_force_opt
-from .replay import ReplayBoard, gap_pair_findings
+from .replay import ReplayBoard
 
 ALL_AUDITS = frozenset({"double_cross", "equator", "gap"})
 
@@ -102,50 +94,30 @@ def unavoidable_lower_bound(trace: Trace) -> int:
     return sum(min(counts) * pairs for counts, pairs in _order_count_tally(trace).items())
 
 
-def _gap_findings(state_before, request, slot) -> list[str]:
-    """Report 4-0 or 3-0 pairs created in crossing order with a free slot
-    strictly between the two fulfilled slots at placement time.
-
-    With L the request in the left slot and R the one in the right slot,
-    a pair is in crossing order (swapping it would remove every crossing)
-    exactly when L.a >= R.b. It then has 4 crossings as placed when
-    L.a > R.b and 3 when L.a = R.b, as the two edges at that vertex meet
-    without crossing. A placed slot left of `slot` has a free slot between
-    exactly when it lies left of the nearest free slot below `slot`, and
-    one right of it when it lies right of the nearest free slot above, so
-    bisections find both runs of candidates.
-    """
-    items = state_before.items()
-    slots = [s for s, _ in items]
-    free = free_slots(state_before)
-    below = bisect_left(free, slot)
-    above = bisect_right(free, slot)
-    left_stop = bisect_left(slots, free[below - 1]) if below else 0
-    right_start = bisect_right(slots, free[above]) if above < len(free) else len(items)
-    return gap_pair_findings(request, slot, items, left_stop, right_start)
-
-
 def audit_trace(trace: Trace, audits: frozenset[str] = ALL_AUDITS) -> list[str]:
     """Replay a trace on a `ReplayBoard` and collect invariant findings at
     every step.
 
     Arrow-based audits are skipped on states where arrows are undefined
     (possible for general, non-2-regular request sequences); both read the
-    board's one arrow list.
+    board's one arrow list. The board's running edge-edge total must equal
+    every step's stored total.
     """
     findings: list[str] = []
     board = ReplayBoard(trace.n, track_arrows="double_cross" in audits or "equator" in audits)
-    edge_edge_total = 0
     for idx, step in enumerate(trace.steps, start=1):
         request, slot = step.request, step.slot
         if not board.is_free(slot):
             raise ReplayMismatchError(f"step {idx} places into unavailable slot {slot}")
         if "gap" in audits:
             findings.extend(f"step {idx}: {f}" for f in board.gap_findings(request, slot))
-        edge_edge_total += added_crossings(board.items, request, slot)
-        if edge_edge_total != step.edge_edge_total:
-            raise ReplayMismatchError(f"step {idx} stored edge-edge total is stale")
-        board.place(request, slot)
+        try:
+            board.place(request, slot)
+        finally:
+            # `place` counts its running total before a vertex above n can
+            # raise IndexError, so a stale total is reported first.
+            if board.edge_edge_total != step.edge_edge_total:
+                raise ReplayMismatchError(f"step {idx} stored edge-edge total is stale")
         if board.lv is None:
             continue
         if "double_cross" in audits:
@@ -287,11 +259,13 @@ def report_to_dict(report: RatioReport) -> dict:
 
 
 def trace_to_dict(trace: Trace) -> dict:
-    """The trace as JSON-ready data. `play` keeps no edge-arrow totals (the
-    arrows are an analysis aid, not part of a decision), so each step's is
-    counted here on a `ReplayBoard` replay: None on states where arrows are
-    undefined (a vertex above degree two, possible for general instances;
-    a replayed state always has as many missing edges as slot openings)."""
+    """The trace as JSON-ready data. A trace step keeps no edge-arrow total
+    (the arrows are an analysis aid, not part of a decision), so each
+    step's is counted here on a `ReplayBoard` replay, one contiguous arrow
+    run per placed edge (`ReplayBoard.edge_arrow_total`): None on states
+    where arrows are undefined (a vertex above degree two, possible for
+    general instances; a replayed state always has as many missing edges
+    as slot openings)."""
     steps = []
     board = ReplayBoard(trace.n)
     for s in trace.steps:
@@ -299,7 +273,7 @@ def trace_to_dict(trace: Trace) -> dict:
         if board.lv is None:
             arrow_total = None
         else:
-            arrow_total = sum(segment_crossings(board.edges(), board.arrows()))
+            arrow_total = board.edge_arrow_total()
         steps.append(
             {
                 "request": [s.request.a, s.request.b],

@@ -120,12 +120,6 @@ def brute_force_opt(inst: Instance, max_n: int | None = None) -> OptResult:
     return OptResult(opt_crossings=opt, witness=Assignment(slot_of=tuple(slot_of)))
 
 
-def assignment_crossings(inst: Instance, assignment: Assignment) -> int:
-    """Re-score a witness against its instance."""
-    items = [(slot, req) for slot, req in zip(assignment.slot_of, inst.requests)]
-    return total_crossings(items)
-
-
 def sorted_order_value(inst: Instance) -> int:
     """Crossings of the assignment that sorts requests by (min, max) endpoint
     and fills slots 1..n left to right; sequence position breaks ties."""

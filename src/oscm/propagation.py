@@ -41,13 +41,19 @@ class PropagationArrowSet:
         return iter(self.arrows)
 
 
+def degree_overflow_error(deg: list[int]) -> DegreeOverflowError:
+    """The error for the least vertex whose degree in `deg` exceeds two."""
+    v = next(v for v, d in enumerate(deg) if d > 2)
+    return DegreeOverflowError(f"vertex {v} has degree {deg[v]} > 2")
+
+
 def unfulfilled_vertices(state: PlacementState) -> list[int]:
     """Ascending vertex list with each vertex repeated (2 - degree) times."""
     out = []
     deg = state.degrees()
     for v in range(1, state.n + 1):
         if deg[v] > 2:
-            raise DegreeOverflowError(f"vertex {v} has degree {deg[v]} > 2")
+            raise degree_overflow_error(deg)
         out.extend([v] * (2 - deg[v]))
     return out
 
@@ -77,14 +83,17 @@ def audit_no_double_cross(
     """Find two arrows into one slot that both fully cross the edges of a
     fulfilled slot.
 
-    The greedy minimum-crossing algorithm is believed to avoid this
-    configuration, and does so on the vast majority of games; algorithms
-    that ignore arrows produce it routinely. It is, however, not a strict
-    invariant: on roughly 1 in 400 random 2-regular games an exact score
-    tie, resolved leftward, leaves the greedy algorithm in this shape (the
-    avoided-configuration argument needs a strictly better slot further
-    right, which a tie does not provide). The audit reports the
-    configuration; callers decide whether a finding is an error.
+    The greedy minimum-crossing algorithm was believed to avoid this
+    configuration; algorithms that ignore arrows produce it routinely. It
+    is not an invariant of greedy: an exact score tie, resolved leftward,
+    can leave greedy in this shape (the avoided-configuration argument
+    needs a strictly better slot further right, which a tie does not
+    provide), and the share of games that reach it grows with n. Greedy on
+    `random_two_regular(n, seed)`, seeds 0..count-1, games with at least
+    one finding (`scripts/double_cross_rates.py`): 5/400 at n = 10, 67/200
+    at n = 20, 83/100 at n = 40, and every game at n = 80 (50), 160 (20)
+    and 320 (10). The audit reports the configuration; callers decide
+    whether a finding is an error.
 
     `arrow_set` is `arrows(state)`, computed here when not given. Each free
     slot's two arrows are adjacent in the arrow list, and both lower and

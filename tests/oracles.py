@@ -1,0 +1,60 @@
+"""Reference implementations that the library no longer calls, kept for the
+tests: they rebuild a new state and a new arrow set and count crossings with
+full `segment_crossings` sweeps, where the library reads one `ReplayBoard`.
+Also the helpers that build a board and compare outcomes.
+"""
+
+from bisect import bisect_left, bisect_right
+
+from oscm.crossings import segment_crossings
+from oscm.model import apply, free_slots
+from oscm.propagation import arrows, unfulfilled_slots
+from oscm.replay import ReplayBoard
+
+
+def board_of(state):
+    """A `ReplayBoard` holding the placements of a `PlacementState`."""
+    board = ReplayBoard(state.n)
+    for slot, request in state.items():
+        board.place(request, slot)
+    return board
+
+
+def edge_arrow_crossings(state):
+    """Crossings between placed edges and the state's propagation arrows."""
+    return sum(segment_crossings(state.edges(), arrows(state).arrows))
+
+
+def sweep_greedy_scores(state, request):
+    """`greedy_scores` as it was before the board: every free slot t of a
+    `PlacementState` scored in one pass from four `segment_crossings` sweeps
+    (board, new edges, and X[k] and Y[k], the placed edges crossing
+    (lv[k], ls[k]) and (lv[k], ls[k + 2])). If t is the j-th free slot,
+    arrow k points at ls[k] for k < 2j and at ls[k + 2] otherwise."""
+    free = free_slots(state)
+    lv = [v for v, _ in arrows(apply(state, request, free[0]))]
+    ls = unfulfilled_slots(state)
+    edges = state.edges()
+    ends = request.vertices
+    board = sum(segment_crossings(edges, edges)) // 2
+    new_edges = segment_crossings(edges, [(v, t) for t in free for v in ends])
+    x = segment_crossings(edges, list(zip(lv, ls)))
+    y = segment_crossings(edges, list(zip(lv, ls[2:])))
+    bounds = [(bisect_left(lv, v), bisect_right(lv, v)) for v in ends]
+    old_arrows = sum(y)
+    scores = {}
+    for j, t in enumerate(free):
+        k = 2 * j
+        new_arrows = sum(max(0, k - hi) + max(0, lo - k) for lo, hi in bounds)
+        scores[t] = board + new_edges[k] + new_edges[k + 1] + old_arrows + new_arrows
+        if k < len(lv):
+            old_arrows += x[k] + x[k + 1] - y[k] - y[k + 1]
+    return scores
+
+
+def outcome(fn, *args):
+    """A call's value, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)

@@ -1,8 +1,12 @@
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oscm.crossings
+import oscm.model
+import oscm.propagation
 from oscm.adversaries import fig8_instance, thm1_adversary, thm2_adversary
 from oscm.algorithms import (
     ALGORITHMS,
@@ -11,7 +15,6 @@ from oscm.algorithms import (
     GREEDY,
     NoFreeSlotError,
     OnlineAlgorithm,
-    edge_arrow_crossings,
     get_algorithm,
     greedy_scores,
     play,
@@ -22,12 +25,14 @@ from oscm.model import (
     Instance,
     PlacementState,
     Request,
+    SlotRangeError,
     apply,
     empty_state,
     free_slots,
     random_two_regular,
 )
 from oscm.propagation import ArrowMismatchError, DegreeOverflowError, arrows
+from oracles import board_of, edge_arrow_crossings, outcome, sweep_greedy_scores
 
 
 def occupy(state, slots):
@@ -39,22 +44,35 @@ def occupy(state, slots):
 
 
 def test_barycenter_hits_free_target():
-    assert BARYCENTER.choose(empty_state(5), Request(2, 4)) == 3
+    assert BARYCENTER.choose(board_of(empty_state(5)), Request(2, 4)) == 3
 
 
 def test_barycenter_nearest_with_leftmost_tie():
-    state = occupy(empty_state(5), [3])
-    assert BARYCENTER.choose(state, Request(2, 4)) == 2
-    state = occupy(empty_state(5), [2, 3, 4])
-    assert BARYCENTER.choose(state, Request(2, 4)) == 1
+    board = board_of(occupy(empty_state(5), [3]))
+    assert BARYCENTER.choose(board, Request(2, 4)) == 2
+    board = board_of(occupy(empty_state(5), [2, 3, 4]))
+    assert BARYCENTER.choose(board, Request(2, 4)) == 1
 
 
 def test_barycenter_floors_odd_midpoint():
-    assert BARYCENTER.choose(empty_state(5), Request(2, 5)) == 3
+    assert BARYCENTER.choose(board_of(empty_state(5)), Request(2, 5)) == 3
+
+
+@given(st.integers(1, 12), st.data())
+def test_barycenter_matches_nearest_slot_scan(n, data):
+    # The bisection against the plain scan: nearest free slot to the
+    # floored midpoint, leftmost on distance ties.
+    taken = data.draw(st.sets(st.integers(1, n), max_size=n - 1))
+    board = board_of(occupy(empty_state(n), sorted(taken)))
+    a = data.draw(st.integers(1, n + 1))
+    request = Request(a, data.draw(st.integers(a + 1, n + 2)))
+    target = (request.a + request.b) // 2
+    expected = min(free_slots(board), key=lambda t: (abs(t - target), t))
+    assert BARYCENTER.choose(board, request) == expected
 
 
 def test_choose_errors_on_full_state():
-    full = occupy(empty_state(2), [1, 2])
+    full = board_of(occupy(empty_state(2), [1, 2]))
     for alg in ALGORITHMS.values():
         with pytest.raises(NoFreeSlotError):
             alg.choose(full, Request(1, 2))
@@ -62,20 +80,21 @@ def test_choose_errors_on_full_state():
 
 def test_greedy_breaks_ties_leftmost():
     # Empty board, duplicate-style first request: both slots score equally.
-    assert GREEDY.choose(empty_state(2), Request(1, 2)) == 1
+    assert GREEDY.choose(board_of(empty_state(2)), Request(1, 2)) == 1
 
 
 def test_greedy_separates_disjoint_pairs():
-    state = apply(empty_state(4), Request(3, 4), GREEDY.choose(empty_state(4), Request(3, 4)))
-    slot = GREEDY.choose(state, Request(1, 2))
+    first = GREEDY.choose(board_of(empty_state(4)), Request(3, 4))
+    state = apply(empty_state(4), Request(3, 4), first)
+    slot = GREEDY.choose(board_of(state), Request(1, 2))
     placed_slot = next(iter(state.placed))
     assert slot < placed_slot
 
 
 def test_first_fit():
-    assert FIRST_FIT.choose(empty_state(3), Request(2, 3)) == 1
-    state = occupy(empty_state(3), [1, 2])
-    assert FIRST_FIT.choose(state, Request(2, 3)) == 3
+    assert FIRST_FIT.choose(board_of(empty_state(3)), Request(2, 3)) == 1
+    board = board_of(occupy(empty_state(3), [1, 2]))
+    assert FIRST_FIT.choose(board, Request(2, 3)) == 3
 
 
 def test_get_algorithm():
@@ -123,7 +142,7 @@ def test_greedy_choice_is_argmin(n, seed):
     inst = random_two_regular(n, seed)
     state = empty_state(n)
     for req in inst.requests:
-        chosen = GREEDY.choose(state, req)
+        chosen = GREEDY.choose(board_of(state), req)
         scores = {}
         for slot in free_slots(state):
             candidate = apply(state, req, slot)
@@ -152,11 +171,13 @@ def naive_greedy_scores(state, request):
 
 
 def checked_greedy():
-    # Greedy with every decision cross-checked against the oracle, so that
-    # adaptive sources are checked along greedy's own game.
-    def choose(state, request):
-        assert greedy_scores(state, request) == naive_greedy_scores(state, request)
-        return GREEDY.choose(state, request)
+    # Greedy with every decision cross-checked against both oracles on the
+    # live board, so that adaptive sources are checked along greedy's own game.
+    def choose(board, request):
+        state = board.state()
+        expected = naive_greedy_scores(state, request)
+        assert greedy_scores(board, request) == expected == sweep_greedy_scores(state, request)
+        return GREEDY.choose(board, request)
 
     return OnlineAlgorithm(name="checked_greedy", choose=choose)
 
@@ -192,8 +213,38 @@ def test_greedy_scores_on_partial_random_boards():
         inst = random_two_regular(n, rng.randrange(2**31))
         state = empty_state(n)
         for req in inst.requests:
-            assert greedy_scores(state, req) == naive_greedy_scores(state, req)
+            got = greedy_scores(board_of(state), req)
+            assert got == naive_greedy_scores(state, req) == sweep_greedy_scores(state, req)
             state = apply(state, req, rng.choice(free_slots(state)))
+
+
+@st.composite
+def requests_on_filled_boards(draw):
+    """A board filled by arbitrary slot choices, and the next request: from
+    a 2-regular sequence, or drawn with replacement, so that vertices may
+    exceed degree two before or with the request."""
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        requests = list(random_two_regular(n, draw(st.integers(0, 2**31))).requests)
+    else:
+        pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+        requests = [Request(*sorted(p)) for p in draw(st.lists(pair, min_size=n, max_size=n))]
+    placed = draw(st.integers(0, n - 1))
+    state = empty_state(n)
+    for req in requests[:placed]:
+        state = apply(state, req, draw(st.sampled_from(free_slots(state))))
+    return state, requests[placed]
+
+
+@given(requests_on_filled_boards())
+@settings(max_examples=300, deadline=None)
+def test_greedy_scores_match_oracles_on_random_boards(case):
+    state, request = case
+    got = outcome(greedy_scores, board_of(state), request)
+    assert got == outcome(naive_greedy_scores, state, request)
+    assert got == outcome(sweep_greedy_scores, state, request)
+    if isinstance(got, dict) and len(got) > 1:
+        assert GREEDY.choose(board_of(state), request) == min(got, key=got.__getitem__)
 
 
 def test_greedy_degree_overflow_matches_oracle():
@@ -203,24 +254,27 @@ def test_greedy_degree_overflow_matches_oracle():
         naive_greedy_scores(state, Request(1, 4))
     for fn in (greedy_scores, GREEDY.choose):
         with pytest.raises(DegreeOverflowError) as got:
-            fn(state, Request(1, 4))
+            fn(board_of(state), Request(1, 4))
         assert str(got.value) == str(expected.value) == "vertex 1 has degree 3 > 2"
 
 
 def test_greedy_arrow_mismatch_matches_oracle():
-    # A hand-built state with a request outside the board has no arrows.
+    # A hand-built state with a request outside the board has no arrows,
+    # and no board can hold it: placing there raises SlotRangeError.
     state = PlacementState(n=3, placed={5: Request(1, 2)})
     with pytest.raises(ArrowMismatchError) as expected:
         naive_greedy_scores(state, Request(2, 3))
     with pytest.raises(ArrowMismatchError) as got:
-        greedy_scores(state, Request(2, 3))
+        sweep_greedy_scores(state, Request(2, 3))
     assert str(got.value) == str(expected.value)
+    with pytest.raises(SlotRangeError, match="^slot 5 out of range 1..3$"):
+        board_of(state)
 
 
 def test_greedy_single_free_slot_skips_scoring():
     # With one slot left the choice is forced, even where arrows are undefined.
     state = apply(apply(empty_state(3), Request(1, 2), 1), Request(1, 3), 2)
-    assert GREEDY.choose(state, Request(1, 2)) == 3
+    assert GREEDY.choose(board_of(state), Request(1, 2)) == 3
 
 
 def test_edge_arrow_crossings_matches_naive_count():
@@ -231,7 +285,8 @@ def test_edge_arrow_crossings_matches_naive_count():
         state = empty_state(n)
         for req in inst.requests:
             state = apply(state, req, rng.choice(free_slots(state)))
-            assert edge_arrow_crossings(state) == naive_edge_arrow_crossings(state)
+            expected = naive_edge_arrow_crossings(state)
+            assert board_of(state).edge_arrow_total() == expected == edge_arrow_crossings(state)
 
 
 @pytest.mark.parametrize("n", [5, 12, 25, 40])
@@ -266,17 +321,48 @@ def test_trace_edge_arrow_totals_are_none_where_arrows_are_undefined(n):
             assert got == [1, 3, 5, 7, 9, None]
 
 
-def test_play_does_not_build_arrows(monkeypatch):
-    # Arrows are an analysis aid: the game loop of the algorithms that never
-    # look at them must not count them either.
-    import oscm.algorithms
+def test_board_answers_like_a_placement_state():
+    # Sources and algorithms read the live board through the calls they
+    # make on a PlacementState; a placement leaves the view read-only.
+    rng = random.Random(13)
+    for _ in range(100):
+        n = rng.randint(2, 10)
+        state = empty_state(n)
+        board = board_of(state)
+        for _ in range(rng.randint(0, n)):
+            request = Request(*sorted(rng.sample(range(1, n + 1), 2)))
+            slot = rng.choice(free_slots(state))
+            state = apply(state, request, slot)
+            board.place(request, slot)
+        assert board.n == state.n
+        assert board.placed == state.placed
+        assert board.degrees() == state.degrees()
+        assert board.items() == state.items()
+        assert sorted(board.edges()) == sorted(state.edges())
+        assert free_slots(board) == free_slots(state) == board.free
+        assert [board.is_free(s) for s in range(n + 2)] == [state.is_free(s) for s in range(n + 2)]
+        assert board.state() == state
+        assert board.edge_edge_total == total_crossings(state)
+        with pytest.raises(TypeError):
+            board.placed[1] = Request(1, 2)
 
-    def refuse(state):
-        raise AssertionError("play built arrows")
 
-    monkeypatch.setattr(oscm.algorithms, "arrows", refuse)
-    monkeypatch.setattr(oscm.algorithms, "edge_arrow_crossings", refuse)
-    for alg in (FIRST_FIT, BARYCENTER):
-        for source in (random_two_regular(12, seed=4), thm1_adversary(6), thm2_adversary(2)):
-            trace = play(source, alg)
+def test_play_copies_no_state(monkeypatch):
+    # `play` drives one board: no algorithm or source makes it copy a state,
+    # build an arrow set or sweep the crossings. Each function is replaced
+    # at every module-level name that refers to it.
+    def refuse(*args):
+        raise AssertionError("play copied a state or recounted from scratch")
+
+    targets = (oscm.model.apply, oscm.propagation.arrows, oscm.crossings.segment_crossings)
+    for name, module in list(sys.modules.items()):
+        if name == "oscm" or name.startswith("oscm."):
+            for attr, value in list(vars(module).items()):
+                if any(value is target for target in targets):
+                    monkeypatch.setattr(module, attr, refuse)
+    sources = [lambda: random_two_regular(20, seed=4), lambda: thm1_adversary(8)]
+    sources += [lambda: thm2_adversary(3), lambda: fig8_instance(12)]
+    for alg in ALGORITHMS.values():
+        for source in sources:
+            trace = play(source(), alg)
             assert trace.final_state.n == len(trace.steps)

@@ -7,11 +7,15 @@ from oscm.crossings import total_crossings
 from oscm.model import Instance, Request, random_two_regular
 from oscm.offline import (
     OracleSizeError,
-    assignment_crossings,
     brute_force_opt,
     oracle_bound,
     sorted_order_value,
 )
+
+
+def assignment_crossings(inst, assignment):
+    """Re-score a witness against its instance."""
+    return total_crossings(zip(assignment.slot_of, inst.requests))
 
 
 def plain_enumeration(inst):
