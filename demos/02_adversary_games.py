@@ -19,7 +19,6 @@ from oscm.adversaries import fig8_instance, thm1_adversary, thm2_adversary
 from oscm.algorithms import BARYCENTER, GREEDY, OnlineAlgorithm, play
 from oscm.crossings import total_crossings
 from oscm.harness import realized_instance, run_experiment
-from oscm.model import free_slots
 from oscm.offline import brute_force_opt, sorted_order_value
 
 
@@ -27,8 +26,8 @@ def path_adversary_demo() -> None:
     print("== path adversary ==")
     n = 10
 
-    def leave_slot_5(state, request):
-        candidates = [s for s in free_slots(state) if s != 5]
+    def leave_slot_5(board, request):
+        candidates = [s for s in board.free if s != 5]
         return candidates[0] if candidates else 5
 
     alg = OnlineAlgorithm(name="leave_slot_5", choose=leave_slot_5)

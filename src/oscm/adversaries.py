@@ -7,14 +7,8 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .model import (
-    Instance,
-    PlacementState,
-    RegularityClass,
-    Request,
-    free_slots,
-    make_request,
-)
+from .model import Instance, RegularityClass, Request, make_request
+from .replay import ReplayBoard
 
 
 class ProtocolError(RuntimeError):
@@ -64,12 +58,12 @@ class Thm1Adversary:
         self.n = n
         self._emitted = 0
 
-    def next_request(self, state: PlacementState) -> Optional[Request]:
+    def next_request(self, board: ReplayBoard) -> Optional[Request]:
         if self._emitted < self.n - 1:
             self._emitted += 1
             return make_request(self._emitted, self._emitted + 1)
         if self._emitted == self.n - 1:
-            free = free_slots(state)
+            free = board.free
             if len(free) != 1:
                 raise ProtocolError(f"expected one free slot, found {free}")
             self._emitted += 1
@@ -105,42 +99,43 @@ class Thm2Adversary:
         self.rounds = rounds
         self.n = thm2_board_size(rounds)
         self._pending: list[Request] = []
-        self._probe_locals: Optional[tuple[list[int], list[int]]] = None
-        self._known_slots: frozenset[int] = frozenset()
+        # The probe's five local slots and vertices, and the free-slot count
+        # when it was emitted.
+        self._probe: Optional[tuple[list[int], list[int], int]] = None
         self._endgame_done = False
 
-    def _edge_free(self, state: PlacementState) -> list[int]:
-        deg = state.degrees()
+    def _edge_free(self, board: ReplayBoard) -> list[int]:
+        deg = board.degree
         return [v for v in range(1, self.n + 1) if deg[v] == 0]
 
-    def _resolve_branch(self, state: PlacementState) -> None:
-        new_slots = set(state.placed) - self._known_slots
-        if len(new_slots) != 1:
-            raise ProtocolError(f"expected one new placement, saw {sorted(new_slots)}")
-        placed_at = new_slots.pop()
-        slots, verts = self._probe_locals
-        self._probe_locals = None
-        offsets = CASE1_OFFSETS if placed_at <= slots[2] else CASE2_OFFSETS
+    def _resolve_branch(self, board: ReplayBoard) -> None:
+        slots, verts, free_count = self._probe
+        self._probe = None
+        placements = free_count - len(board.free)
+        if placements != 1:
+            raise ProtocolError(f"expected one placement since the probe, saw {placements}")
+        # The local slots are the leftmost free ones, so the probe went to
+        # one of the first three exactly when one of them is taken.
+        case1 = not all(board.is_free(s) for s in slots[:3])
+        offsets = CASE1_OFFSETS if case1 else CASE2_OFFSETS
         self._pending = [make_request(verts[i - 1], verts[j - 1]) for i, j in offsets]
 
-    def next_request(self, state: PlacementState) -> Optional[Request]:
-        if self._probe_locals is not None:
-            self._resolve_branch(state)
+    def next_request(self, board: ReplayBoard) -> Optional[Request]:
+        if self._probe is not None:
+            self._resolve_branch(board)
         if self._pending:
-            self._known_slots = frozenset(state.placed)
             return self._pending.pop(0)
-        free = free_slots(state)
+        free = board.free
         if not free or self._endgame_done:
             return None
         if len(free) > ENDGAME_RESERVE:
             slots = free[:5]
-            verts = self._edge_free(state)[:5]
+            verts = self._edge_free(board)[:5]
             if len(verts) < 5:
                 raise ProtocolError("fewer than five edge-free vertices mid-game")
-            self._probe_locals = (slots, verts)
-            self._known_slots = frozenset(state.placed)
+            self._probe = (slots, verts, len(free))
             return make_request(verts[PROBE_OFFSET[0] - 1], verts[PROBE_OFFSET[1] - 1])
-        deg = state.degrees()
+        deg = board.degree
         deficits = {v: 2 - deg[v] for v in range(1, self.n + 1) if deg[v] < 2}
         self._pending = endgame_fill(deficits)
         if len(self._pending) != len(free):
@@ -148,7 +143,7 @@ class Thm2Adversary:
                 f"endgame produced {len(self._pending)} requests for {len(free)} slots"
             )
         self._endgame_done = True
-        return self.next_request(state)
+        return self.next_request(board)
 
 
 def thm1_adversary(n: int) -> Thm1Adversary:

@@ -44,7 +44,7 @@ class Trace:
 class RequestSource(Protocol):
     n: int
 
-    def next_request(self, state: ReplayBoard) -> Optional[Request]: ...
+    def next_request(self, board: ReplayBoard) -> Optional[Request]: ...
 
 
 def _free_or_raise(board: ReplayBoard) -> list[int]:
@@ -93,7 +93,7 @@ def greedy_scores(board: ReplayBoard, request: Request) -> dict[int, int]:
     a, b = request.a, request.b
     degree = board.degree
     if board.lv is None or degree[a] == 2 or degree[b] == 2:
-        deg = board.degrees()
+        deg = degree.copy()
         deg[a] += 1
         deg[b] += 1
         raise degree_overflow_error(deg)
@@ -168,7 +168,7 @@ class _InstanceSource:
         self._requests = list(instance.requests)
         self._pos = 0
 
-    def next_request(self, state: PlacementState) -> Optional[Request]:
+    def next_request(self, board: ReplayBoard) -> Optional[Request]:
         if self._pos >= len(self._requests):
             return None
         req = self._requests[self._pos]
@@ -179,7 +179,9 @@ class _InstanceSource:
 def play(source: Union[Instance, RequestSource], algorithm: OnlineAlgorithm) -> Trace:
     """Run a full online game on one `ReplayBoard`, recording each step's
     request, chosen slot and running edge-edge crossing total. The source
-    and the algorithm see the live board; the final state is built once."""
+    and the algorithm see the live board; the final state is built once.
+    A request with a vertex above n raises ValueError before the algorithm
+    is asked for a slot."""
     if isinstance(source, Instance):
         source = _InstanceSource(source)
     board = ReplayBoard(source.n)
@@ -188,6 +190,11 @@ def play(source: Union[Instance, RequestSource], algorithm: OnlineAlgorithm) -> 
         request = source.next_request(board)
         if request is None:
             break
+        if request.b > board.n:
+            raise ValueError(
+                f"step {len(steps) + 1}: request ({request.a},{request.b}) "
+                f"has a vertex above n={board.n}"
+            )
         slot = algorithm.choose(board, request)
         board.place(request, slot)
         steps.append(TraceStep(request=request, slot=slot, edge_edge_total=board.edge_edge_total))

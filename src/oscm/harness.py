@@ -149,7 +149,6 @@ def score_trace(
     source_id: str,
     audits: frozenset[str] = ALL_AUDITS,
     opt_value: Optional[int] = None,
-    max_n: Optional[int] = None,
 ) -> RatioReport:
     """Report a finished game's ratio against the exact optimum of the
     instance it realized, with its pair-kind histogram and audit findings.
@@ -160,7 +159,7 @@ def score_trace(
     """
     alg_crossings = total_crossings(trace.final_state)
     if opt_value is None:
-        opt_value = brute_force_opt(realized_instance(trace), max_n=max_n).opt_crossings
+        opt_value = brute_force_opt(realized_instance(trace)).opt_crossings
     ratio, defined = _competitive_ratio(alg_crossings, opt_value)
     return RatioReport(
         alg_name=alg_name,
@@ -181,7 +180,6 @@ def run_experiment(
     source_id: str = "",
     audits: frozenset[str] = ALL_AUDITS,
     opt_value: Optional[int] = None,
-    max_n: Optional[int] = None,
 ) -> tuple[RatioReport, Trace]:
     """Play one full game and score it with `score_trace`."""
     trace = play(source, algorithm)
@@ -191,7 +189,6 @@ def run_experiment(
         source_id or getattr(source, "name", "instance"),
         audits=audits,
         opt_value=opt_value,
-        max_n=max_n,
     )
     return report, trace
 
@@ -202,7 +199,6 @@ def sweep(
     trials: int,
     seed: int,
     audits: frozenset[str] = ALL_AUDITS,
-    max_n: Optional[int] = None,
 ) -> SweepResult:
     """Play `trials` random 2-regular games with sizes drawn from `ns`.
 
@@ -227,7 +223,6 @@ def sweep(
             inst,
             source_id=f"random_two_regular(n={n}, seed={inst_seed})",
             audits=audits,
-            max_n=max_n,
         )
         records.append(TrialRecord(index=index, instance_seed=inst_seed, report=report))
         for key, count in report.pair_type_histogram.items():

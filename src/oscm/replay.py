@@ -2,16 +2,16 @@
 the per-step edge-arrow counts of `harness` replay a trace on.
 
 `ReplayBoard` edits sorted lists in place as each request is placed, so a
-step reads the board instead of a new `PlacementState` and a new arrow
-set. Each audit's finding text comes from one helper, which the per-state
-audits (`propagation.audit_no_double_cross`, `propagation.audit_equator`)
-call too.
+step reads the board's lists instead of a new `PlacementState` and a new
+arrow set. Request sources and algorithms read `free`, `degree` and
+`by_slot` directly. Each audit's finding text comes from one helper, which
+the per-state audits (`propagation.audit_no_double_cross`,
+`propagation.audit_equator`) call too.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from types import MappingProxyType
 
 from .crossings import PairKind, added_crossings
 from .model import PlacementState, Request, unavailable_slot_error
@@ -63,18 +63,19 @@ class ReplayBoard:
     placed slots left of it, and the i-th placed slot s (from 0) has
     s - 1 - i free slots left of it.
 
-    With `track_arrows` it also keeps the vertex degrees, the sorted
-    unfulfilled-vertex list `lv` (each vertex once per missing edge) and
-    the sorted vertex ends of the placed edges (`ends`). The arrows are
-    `lv` paired with the doubled free-slot list, as `propagation.arrows`
-    pairs them. Once a vertex exceeds degree two the arrows are undefined,
-    and `lv` is None from then on. A vertex above n raises IndexError, as
-    in `arrows`.
+    With `track_arrows` it also keeps the vertex degrees (`degree`, index
+    0 unused), the sorted unfulfilled-vertex list `lv` (each vertex once
+    per missing edge) and the sorted vertex ends of the placed edges
+    (`ends`), which the equator audit checks against `slot_ends`. The
+    arrows are `lv` paired with the doubled free-slot list, as
+    `propagation.arrows` pairs them. Once a vertex exceeds degree two the
+    arrows are undefined, and `lv` is None from then on. A vertex above n
+    raises IndexError, as in `arrows`.
 
-    Algorithms and request sources read the board through the calls they
-    make on a `PlacementState`: `n`, `placed` (a read-only live view),
-    `degrees()`, `is_free()`, `items()`, `edges()` and `model.free_slots`.
-    A placement is a few bisections and list edits, plus one pass over the
+    Request sources and algorithms read the live lists `free`, `degree`
+    and `by_slot` (greedy also `lv` and `edge_edge_total`) and must not
+    edit them; `state()` builds the final `PlacementState` once. A
+    placement is a few bisections and list edits, plus one pass over the
     placed requests for the crossings it adds.
     """
 
@@ -82,8 +83,6 @@ class ReplayBoard:
         self.n = n
         self.by_slot: list[tuple[int, Request]] = []
         self.free = list(range(1, n + 1))
-        self._placed: dict[int, Request] = {}
-        self.placed = MappingProxyType(self._placed)
         self.edge_edge_total = 0
         self.ends: list[int] = []
         self.degree = self.lv = None
@@ -109,7 +108,6 @@ class ReplayBoard:
         self.edge_edge_total += added_crossings(self.by_slot, request, slot)
         del free[k]
         self.by_slot.insert(slot - 1 - k, (slot, request))
-        self._placed[slot] = request
         degree, lv = self.degree, self.lv
         if degree is None:
             return
@@ -126,13 +124,6 @@ class ReplayBoard:
         insort(self.ends, a)
         insort(self.ends, b)
 
-    def degrees(self) -> list[int]:
-        """Per-vertex request count, index 0 unused."""
-        return self.degree.copy()
-
-    def items(self) -> list[tuple[int, Request]]:
-        return self.by_slot.copy()
-
     def edges(self) -> list[tuple[int, int]]:
         return [(v, s) for s, q in self.by_slot for v in (q.a, q.b)]
 
@@ -140,7 +131,7 @@ class ReplayBoard:
         return list(zip(self.lv, [t for t in self.free for _ in range(2)]))
 
     def state(self) -> PlacementState:
-        return PlacementState(n=self.n, placed=self._placed)
+        return PlacementState(n=self.n, placed=dict(self.by_slot))
 
     def edge_arrow_total(self) -> int:
         """Crossings between the placed edges and the arrows: the i-th

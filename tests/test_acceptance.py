@@ -82,8 +82,8 @@ def test_criterion_2_path_adversary_ratio(capsys):
         start = time.time()
         n = 10
 
-        def leave_slot_5(state, request):
-            candidates = [s for s in free_slots(state) if s != 5]
+        def leave_slot_5(board, request):
+            candidates = [s for s in board.free if s != 5]
             return candidates[0] if candidates else 5
 
         alg = OnlineAlgorithm(name="leave_slot_5", choose=leave_slot_5)
@@ -150,7 +150,10 @@ def test_criterion_5_trace_audits(capsys, greedy_sweep):
     def body():
         # All audits (double-cross, flow balance, 3-0/4-0 gaps) ran inside
         # the criterion-4 sweep; the flow balance also holds for the other
-        # algorithms, which the extra sweeps check in isolation.
+        # algorithms, which the extra sweeps check in isolation. The flow
+        # balance cannot fail on a correct arrow set; per step it checks
+        # the replay board's arrow bookkeeping, whose stored vertex and
+        # slot ends exist to catch a fault there.
         assert greedy_sweep.violation_count == 0
         for alg in (FIRST_FIT, BARYCENTER):
             res = sweep(alg, range(4, 10), trials=200, seed=77, audits=frozenset({"equator"}))

@@ -8,6 +8,7 @@ from oscm.adversaries import (
     CASE2_OFFSETS,
     PROBE_OFFSET,
     InfeasibleFillError,
+    ProtocolError,
     endgame_fill,
     fig8_instance,
     thm1_adversary,
@@ -24,13 +25,14 @@ from oscm.model import (
     validate_instance,
 )
 from oscm.offline import brute_force_opt
+from oscm.replay import ReplayBoard
 
 
 def leave_slot_algorithm(hole: int) -> OnlineAlgorithm:
     """Fill ascending while keeping one slot free as long as possible."""
 
-    def choose(state, request):
-        candidates = [s for s in free_slots(state) if s != hole]
+    def choose(board, request):
+        candidates = [s for s in board.free if s != hole]
         return candidates[0] if candidates else hole
 
     return OnlineAlgorithm(name=f"leave_slot_{hole}", choose=choose)
@@ -146,10 +148,48 @@ def test_thm2_case_split_follows_probe_placement():
     case1 = [Request(*PROBE_OFFSET)] + [Request(i, j) for i, j in CASE1_OFFSETS]
     assert trace.requests[: len(case1)] == case1
 
-    rightmost = OnlineAlgorithm(name="rightmost", choose=lambda s, r: free_slots(s)[-1])
+    rightmost = OnlineAlgorithm(name="rightmost", choose=lambda board, r: board.free[-1])
     trace2 = play(thm2_adversary(1), rightmost)
     case2 = [Request(*PROBE_OFFSET)] + [Request(i, j) for i, j in CASE2_OFFSETS]
     assert trace2.requests[: len(case2)] == case2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_thm2_case_split_at_each_local_slot(k):
+    # The probe goes to the k-th free slot in both rounds; every other
+    # request skips the leftmost free slot, so round 2's local slots have
+    # a gap. Case 1 follows exactly when k <= 3.
+    offsets = CASE1_OFFSETS if k <= 3 else CASE2_OFFSETS
+    adversary = thm2_adversary(2)
+    n = adversary.n
+    probe_steps = {0, 1 + len(offsets)}
+
+    def choose(board, request):
+        free = board.free
+        if n - len(free) in probe_steps:
+            return free[k - 1]
+        return free[1] if len(free) > 1 else free[0]
+
+    trace = play(adversary, OnlineAlgorithm(name=f"probe_at_{k}", choose=choose))
+    expected = []
+    for _ in range(2):
+        used = {v for q in expected for v in q.vertices}
+        verts = [v for v in range(1, n + 1) if v not in used][:5]
+        expected += [Request(verts[i - 1], verts[j - 1]) for i, j in (PROBE_OFFSET,) + offsets]
+    assert trace.requests[: len(expected)] == expected
+
+
+def test_thm2_probe_must_be_placed_exactly_once():
+    # Outside `play`, a source can be asked again before its probe is
+    # placed, or after two placements; both break the game protocol.
+    for extra in (0, 2):
+        adversary = thm2_adversary(1)
+        board = ReplayBoard(adversary.n)
+        probe = adversary.next_request(board)
+        for slot in range(1, extra + 1):
+            board.place(probe, slot)
+        with pytest.raises(ProtocolError, match=f"^expected one placement since the probe, saw {extra}$"):
+            adversary.next_request(board)
 
 
 def test_fig8_instances():

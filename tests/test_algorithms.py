@@ -67,7 +67,7 @@ def test_barycenter_matches_nearest_slot_scan(n, data):
     a = data.draw(st.integers(1, n + 1))
     request = Request(a, data.draw(st.integers(a + 1, n + 2)))
     target = (request.a + request.b) // 2
-    expected = min(free_slots(board), key=lambda t: (abs(t - target), t))
+    expected = min(board.free, key=lambda t: (abs(t - target), t))
     assert BARYCENTER.choose(board, request) == expected
 
 
@@ -253,9 +253,11 @@ def test_greedy_degree_overflow_matches_oracle():
     with pytest.raises(DegreeOverflowError) as expected:
         naive_greedy_scores(state, Request(1, 4))
     for fn in (greedy_scores, GREEDY.choose):
+        board = board_of(state)
         with pytest.raises(DegreeOverflowError) as got:
-            fn(board_of(state), Request(1, 4))
+            fn(board, Request(1, 4))
         assert str(got.value) == str(expected.value) == "vertex 1 has degree 3 > 2"
+        assert board.degree == state.degrees()
 
 
 def test_greedy_arrow_mismatch_matches_oracle():
@@ -322,8 +324,8 @@ def test_trace_edge_arrow_totals_are_none_where_arrows_are_undefined(n):
 
 
 def test_board_answers_like_a_placement_state():
-    # Sources and algorithms read the live board through the calls they
-    # make on a PlacementState; a placement leaves the view read-only.
+    # Sources and algorithms read the live board's own lists; each is
+    # checked against the PlacementState reference.
     rng = random.Random(13)
     for _ in range(100):
         n = rng.randint(2, 10)
@@ -335,26 +337,24 @@ def test_board_answers_like_a_placement_state():
             state = apply(state, request, slot)
             board.place(request, slot)
         assert board.n == state.n
-        assert board.placed == state.placed
-        assert board.degrees() == state.degrees()
-        assert board.items() == state.items()
-        assert sorted(board.edges()) == sorted(state.edges())
-        assert free_slots(board) == free_slots(state) == board.free
+        assert board.free == free_slots(state)
+        assert board.degree == state.degrees()
+        assert board.by_slot == state.items()
         assert [board.is_free(s) for s in range(n + 2)] == [state.is_free(s) for s in range(n + 2)]
+        assert sorted(board.edges()) == sorted(state.edges())
         assert board.state() == state
         assert board.edge_edge_total == total_crossings(state)
-        with pytest.raises(TypeError):
-            board.placed[1] = Request(1, 2)
 
 
 def test_play_copies_no_state(monkeypatch):
     # `play` drives one board: no algorithm or source makes it copy a state,
-    # build an arrow set or sweep the crossings. Each function is replaced
-    # at every module-level name that refers to it.
+    # scan for free slots, build an arrow set or sweep the crossings. Each
+    # function is replaced at every module-level name that refers to it.
     def refuse(*args):
         raise AssertionError("play copied a state or recounted from scratch")
 
-    targets = (oscm.model.apply, oscm.propagation.arrows, oscm.crossings.segment_crossings)
+    targets = (oscm.model.apply, oscm.model.free_slots, oscm.propagation.arrows)
+    targets += (oscm.crossings.segment_crossings,)
     for name, module in list(sys.modules.items()):
         if name == "oscm" or name.startswith("oscm."):
             for attr, value in list(vars(module).items()):
@@ -366,3 +366,22 @@ def test_play_copies_no_state(monkeypatch):
         for source in sources:
             trace = play(source(), alg)
             assert trace.final_state.n == len(trace.steps)
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_play_rejects_a_vertex_above_n(name):
+    # The request is refused before the algorithm is asked for a slot.
+    asked = []
+
+    def choose(board, request):
+        asked.append(request)
+        return ALGORITHMS[name].choose(board, request)
+
+    alg = OnlineAlgorithm(name=name, choose=choose)
+    with pytest.raises(ValueError, match=r"^step 1: request \(1,5\) has a vertex above n=3$"):
+        play(Instance(n=3, requests=(Request(1, 5), Request(2, 3))), alg)
+    assert asked == []
+    inst = Instance(n=3, requests=(Request(1, 3), Request(2, 4), Request(1, 2)))
+    with pytest.raises(ValueError, match=r"^step 2: request \(2,4\) has a vertex above n=3$"):
+        play(inst, alg)
+    assert asked == [Request(1, 3)]

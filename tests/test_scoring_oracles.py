@@ -206,7 +206,7 @@ def assert_trace_matches(trace):
 
 def random_slot_algorithm(seed):
     rng = random.Random(seed)
-    return OnlineAlgorithm(name="random", choose=lambda s, r: rng.choice(free_slots(s)))
+    return OnlineAlgorithm(name="random", choose=lambda board, r: rng.choice(board.free))
 
 
 ALL_ALGORITHMS = [ALGORITHMS[name] for name in sorted(ALGORITHMS)]
