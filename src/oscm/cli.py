@@ -12,10 +12,10 @@ from typing import Optional, Sequence
 
 from .adversaries import fig8_instance, thm1_adversary, thm2_adversary
 from .algorithms import ALGORITHMS, get_algorithm, play
-from .crossings import total_crossings
 from .harness import (
     audit_trace,
     realized_instance,
+    replayed_crossings,
     run_experiment,
     score_trace,
     sweep,
@@ -28,11 +28,23 @@ from .render import RenderSpec, render_svg
 
 
 def _parse_sizes(text: str) -> list[int]:
-    """Accept '6', '4,5,6' or '4-9'."""
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",")]
+    """Accept '6', '4,5,6' or '4-9': one or more sizes, each at least 2 (the
+    smallest 2-regular instance), a range ascending."""
+    lo, dash, hi = text.partition("-")
+    try:
+        if dash:
+            sizes = list(range(int(lo), int(hi) + 1))
+        else:
+            sizes = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--n takes a size, a list '4,6,8' or a range '4-9', got {text!r}"
+        ) from None
+    if not sizes:
+        raise ValueError(f"--n range {text!r} is empty: its first size exceeds its last")
+    if min(sizes) < 2:
+        raise ValueError(f"--n sizes must be at least 2, got {min(sizes)} in {text!r}")
+    return sizes
 
 
 def _write_report(report, trace, args) -> None:
@@ -54,7 +66,7 @@ def _print_report(report) -> None:
         f"violations={report.violation_count}"
     )
     if report.audit_findings:
-        print("\n".join(f"  finding: {finding}" for finding in report.audit_findings))
+        print("  finding: " + "\n  finding: ".join(report.audit_findings))
 
 
 def _cmd_run(args) -> int:
@@ -117,10 +129,10 @@ def _cmd_audit(args) -> int:
     findings = audit_trace(trace)
     print(
         f"{algorithm.name} on {args.instance}: "
-        f"{len(findings)} finding(s), final crossings={total_crossings(trace.final_state)}"
+        f"{len(findings)} finding(s), final crossings={replayed_crossings(trace)}"
     )
     if findings:
-        print("\n".join(f"  {finding}" for finding in findings))
+        print("  " + "\n  ".join(findings))
     return 1 if findings else 0
 
 

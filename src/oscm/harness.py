@@ -10,12 +10,13 @@ import csv
 import json
 import math
 import random
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .algorithms import OnlineAlgorithm, Trace, play
-from .crossings import PairKind, order_counts, pair_kind, total_crossings
+from .crossings import PairKind
 from .model import Instance, RegularityClass, validate_instance
 from .offline import brute_force_opt
 from .replay import ReplayBoard
@@ -71,27 +72,54 @@ def _competitive_ratio(alg: int, opt: int) -> tuple[float, bool]:
     return math.inf, False
 
 
-def _order_count_tally(trace: Trace) -> Counter:
-    """How many request pairs of the final layout have each (placed,
-    swapped) crossing count. A pair's kind and unavoidable crossings depend
-    on nothing else, so the histogram and the lower bound read this tally."""
-    items = trace.final_state.items()
-    return Counter(
-        order_counts(r1, r2) for i, (_, r1) in enumerate(items) for _, r2 in items[i + 1 :]
-    )
-
-
 def pair_type_histogram(trace: Trace) -> dict[str, int]:
-    """Counts of each pair kind over all request pairs in the final layout."""
-    counts = {kind.name: 0 for kind in PairKind}
-    for (placed, swapped), pairs in _order_count_tally(trace).items():
-        counts[pair_kind(placed, swapped).name] += pairs
-    return counts
+    """Counts of each pair kind over all request pairs in the final layout,
+    in `PairKind` order.
+
+    A pair's kind depends on its endpoints alone, not on its slots. With
+    (a1, b1) and (a2, b2) the two requests: identical requests are 1-1; one
+    shared first or second endpoint makes 2-1, and b1 = a2 makes 3-0. Of
+    the pairs with four distinct endpoints, disjoint ones (b1 < a2) are
+    4-0, strictly nested ones (a1 < a2, b2 < b1) 2-2 and interleaved ones
+    3-1. Counters of the endpoints give the first three, one bisection per
+    request on the sorted second endpoints the 4-0 pairs, and one insertion
+    sweep in (a, b) order the 2-2 pairs; the 3-1 pairs are the rest.
+    O(m log m) comparisons for m requests, plus the insertions of the sweep.
+    """
+    requests = trace.final_state.placed.values()
+    m = len(requests)
+    by_pair = Counter((r.a, r.b) for r in requests)
+    by_a = Counter(r.a for r in requests)
+    by_b = Counter(r.b for r in requests)
+    same = sum(c * (c - 1) // 2 for c in by_pair.values())
+    one_shared = sum(c * (c - 1) // 2 for c in (*by_a.values(), *by_b.values())) - 2 * same
+    touching = sum(c * by_a[v] for v, c in by_b.items())
+    bs = sorted(by_b.elements())
+    disjoint = sum(bisect_left(bs, r.a) for r in requests)
+    # In (a, b) order, the requests already seen with a larger second
+    # endpoint have a strictly smaller first one: those with an equal first
+    # endpoint come earlier only when their second is no larger.
+    nested = 0
+    seen: list[int] = []
+    for _, b in sorted(by_pair.elements()):
+        nested += len(seen) - bisect_right(seen, b)
+        insort(seen, b)
+    counts = {
+        PairKind.ONE_ONE: same,
+        PairKind.TWO_ONE: one_shared,
+        PairKind.THREE_ZERO: touching,
+        PairKind.FOUR_ZERO: disjoint,
+        PairKind.TWO_TWO: nested,
+    }
+    counts[PairKind.THREE_ONE] = m * (m - 1) // 2 - sum(counts.values())
+    return {kind.name: counts[kind] for kind in PairKind}
 
 
 def unavoidable_lower_bound(trace: Trace) -> int:
-    """Sum of per-pair unavoidable crossings; never exceeds the optimum."""
-    return sum(min(counts) * pairs for counts, pairs in _order_count_tally(trace).items())
+    """Sum of per-pair unavoidable crossings; never exceeds the optimum. A
+    pair of kind k crosses at least min(k.value) times in either order."""
+    histogram = pair_type_histogram(trace)
+    return sum(min(kind.value) * histogram[kind.name] for kind in PairKind)
 
 
 def audit_trace(trace: Trace, audits: frozenset[str] = ALL_AUDITS) -> list[str]:
@@ -101,7 +129,9 @@ def audit_trace(trace: Trace, audits: frozenset[str] = ALL_AUDITS) -> list[str]:
     Arrow-based audits are skipped on states where arrows are undefined
     (possible for general, non-2-regular request sequences); both read the
     board's one arrow list. The board's running edge-edge total must equal
-    every step's stored total.
+    every step's stored total, so once this returns, the last step's total
+    is the game's checked crossing count (`replayed_crossings`). Each
+    finding is worded once, with its "step <i>: " prefix.
     """
     findings: list[str] = []
     board = ReplayBoard(trace.n, track_arrows="double_cross" in audits or "equator" in audits)
@@ -109,8 +139,9 @@ def audit_trace(trace: Trace, audits: frozenset[str] = ALL_AUDITS) -> list[str]:
         request, slot = step.request, step.slot
         if not board.is_free(slot):
             raise ReplayMismatchError(f"step {idx} places into unavailable slot {slot}")
+        prefix = f"step {idx}: "
         if "gap" in audits:
-            findings.extend(f"step {idx}: {f}" for f in board.gap_findings(request, slot))
+            findings.extend(board.gap_findings(request, slot, prefix))
         try:
             board.place(request, slot)
         finally:
@@ -121,10 +152,17 @@ def audit_trace(trace: Trace, audits: frozenset[str] = ALL_AUDITS) -> list[str]:
         if board.lv is None:
             continue
         if "double_cross" in audits:
-            findings.extend(f"step {idx}: {f}" for f in board.double_cross_findings())
+            findings.extend(board.double_cross_findings(prefix))
         if "equator" in audits:
-            findings.extend(f"step {idx}: {f}" for f in board.equator_findings())
+            findings.extend(prefix + f for f in board.equator_findings())
     return findings
+
+
+def replayed_crossings(trace: Trace) -> int:
+    """The final layout's crossings as the last step stored them: 0 for an
+    empty trace. Only a trace `audit_trace` accepted is known to hold the
+    true count there."""
+    return trace.steps[-1].edge_edge_total if trace.steps else 0
 
 
 def realized_instance(trace: Trace) -> Instance:
@@ -156,10 +194,15 @@ def score_trace(
     `opt_value` substitutes for the oracle when the game is too large to
     solve exactly (it must then be a valid optimum or upper bound supplied
     by the caller; the ratio reported is relative to it).
+
+    The algorithm's crossing count is the last step's stored total, read
+    only after the replay of `audit_trace` has checked every step's total:
+    a stale total raises `ReplayMismatchError` instead of being reported.
     """
-    alg_crossings = total_crossings(trace.final_state)
     if opt_value is None:
         opt_value = brute_force_opt(realized_instance(trace)).opt_crossings
+    findings = audit_trace(trace, audits)
+    alg_crossings = replayed_crossings(trace)
     ratio, defined = _competitive_ratio(alg_crossings, opt_value)
     return RatioReport(
         alg_name=alg_name,
@@ -170,7 +213,7 @@ def score_trace(
         ratio=ratio,
         ratio_defined=defined,
         pair_type_histogram=pair_type_histogram(trace),
-        audit_findings=tuple(audit_trace(trace, audits)),
+        audit_findings=tuple(findings),
     )
 
 
@@ -210,6 +253,8 @@ def sweep(
 
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    if not ns:
+        raise ValueError("need at least one size in ns")
     rng = random.Random(seed)
     plan = [(rng.choice(list(ns)), rng.randrange(2**32)) for _ in range(trials)]
     records = []

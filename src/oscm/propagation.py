@@ -119,10 +119,11 @@ def audit_no_double_cross(
     )
 
 
-def double_cross_findings(items, lower, upper, targets) -> list[str]:
+def double_cross_findings(items, lower, upper, targets, prefix: str = "") -> list[str]:
     """The double-cross findings of the ascending (slot, request) list
     `items`, whose free slots `targets` receive the arrows from `lower` and
-    `upper`, as `audit_no_double_cross` describes."""
+    `upper`, as `audit_no_double_cross` describes, each starting with
+    `prefix`."""
     heads = None  # per target, the finding text up to the fulfilled slot
     findings = []
     for i, (slot, req) in enumerate(items):
@@ -133,7 +134,8 @@ def double_cross_findings(items, lower, upper, targets) -> list[str]:
             continue
         if heads is None:
             heads = [
-                f"arrows [({v}, {t}), ({w}, {t})] into slot {t} each cross both edges of slot "
+                f"{prefix}arrows [({v}, {t}), ({w}, {t})] into slot {t} "
+                "each cross both edges of slot "
                 for v, w, t in zip(lower, upper, targets)
             ]
         tail = f"{slot} ({req.a},{req.b})"

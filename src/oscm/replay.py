@@ -18,11 +18,12 @@ from .model import PlacementState, Request, unavailable_slot_error
 from .propagation import double_cross_findings, unbalanced_cuts
 
 
-def gap_pair_findings(request, slot, items, left_stop, right_start) -> list[str]:
-    """The gap findings of `request` at `slot`: the 4-0 or 3-0 pairs it
-    forms in crossing order with a free slot between, against the
-    (slot, request) pairs items[:left_stop], left of it with a free slot
-    between, and items[right_start:], right of it with a free slot between.
+def gap_pair_findings(request, slot, items, left_stop, right_start, prefix: str = "") -> list[str]:
+    """The gap findings of `request` at `slot`, each starting with
+    `prefix`: the 4-0 or 3-0 pairs it forms in crossing order with a free
+    slot between, against the (slot, request) pairs items[:left_stop], left
+    of it with a free slot between, and items[right_start:], right of it
+    with a free slot between.
 
     With L the request in the left slot and R the one in the right slot, a
     pair is in crossing order (swapping it would remove every crossing)
@@ -34,7 +35,7 @@ def gap_pair_findings(request, slot, items, left_stop, right_start) -> list[str]
     pairs = [(s, q, q.a > b) for s, q in items[:left_stop] if q.a >= b]
     pairs += [(s, q, a > q.b) for s, q in items[right_start:] if a >= q.b]
     return [
-        f"{(PairKind.FOUR_ZERO if four else PairKind.THREE_ZERO).name} pair "
+        f"{prefix}{(PairKind.FOUR_ZERO if four else PairKind.THREE_ZERO).name} pair "
         f"({a},{b})@{slot} vs ({q.a},{q.b})@{other_slot} with a free slot between"
         for other_slot, q, four in pairs
     ]
@@ -143,9 +144,9 @@ class ReplayBoard:
             for v in (q.a, q.b)
         )
 
-    def gap_findings(self, request: Request, slot: int) -> list[str]:
+    def gap_findings(self, request: Request, slot: int, prefix: str) -> list[str]:
         """The gap findings of the board before `request` is placed at the
-        free `slot`. A placed slot left of `slot` has a free slot between
+        free `slot`, each starting with `prefix`. A placed slot left of `slot` has a free slot between
         exactly when it lies left of the nearest free slot below `slot`,
         and one right of it when it lies right of the nearest free slot
         above; their placed-slot counts bound the two runs, with no search.
@@ -154,11 +155,11 @@ class ReplayBoard:
         k = bisect_left(free, slot)
         left_stop = free[k - 1] - k if k else 0
         right_start = free[k + 1] - k - 2 if k + 1 < len(free) else len(self.by_slot)
-        return gap_pair_findings(request, slot, self.by_slot, left_stop, right_start)
+        return gap_pair_findings(request, slot, self.by_slot, left_stop, right_start, prefix)
 
-    def double_cross_findings(self) -> list[str]:
+    def double_cross_findings(self, prefix: str) -> list[str]:
         lv = self.lv
-        return double_cross_findings(self.by_slot, lv[::2], lv[1::2], self.free)
+        return double_cross_findings(self.by_slot, lv[::2], lv[1::2], self.free, prefix)
 
     def equator_findings(self) -> list[str]:
         """`audit_equator` on the board: every cut balances when the sorted

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -151,6 +152,59 @@ def test_user_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: n must be an integer, got 3.5\n"
     assert main(["adversary", "--name", "thm1", "--n", "3", "--algo", "greedy"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    for sizes, error in [
+        ("9-4", "--n range '9-4' is empty: its first size exceeds its last"),
+        ("-3", "--n takes a size, a list '4,6,8' or a range '4-9', got '-3'"),
+        ("4,,6", "--n takes a size, a list '4,6,8' or a range '4-9', got '4,,6'"),
+        ("1-4", "--n sizes must be at least 2, got 1 in '1-4'"),
+        ("5,0", "--n sizes must be at least 2, got 0 in '5,0'"),
+    ]:
+        assert main(["bench", "--algo", "greedy", "--n", sizes, "--trials", "2"]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+# sha256 of the stdout of `oscm adversary` for every spec the benchmark's
+# adversary-cli workload runs, and of one `oscm audit` with findings: a
+# change to a report, a finding's wording or the findings' order fails here.
+ADVERSARY_STDOUT_SHA256 = {
+    "thm2 --rounds 4 --algo barycenter": "683c060baa0829e4eb84fdd5aea87a0ce0cff90bca2f47ace47fae5359ffc0ab",
+    "thm2 --rounds 4 --algo first_fit": "4bf06a94726d7093887660cb3eda8adb6b6891bbf497271cd1bd8c31d3d06e45",
+    "thm2 --rounds 6 --algo barycenter": "d85e259908eb8d350b9954de4b924c1e7b33eee29251839a028a6bd04a86e97c",
+    "thm2 --rounds 6 --algo first_fit": "45f4b0485abdf0dbfd2a49f3c3e8859f837097a644121403222ec29edd6bf64f",
+    "thm2 --rounds 8 --algo barycenter": "d2f3c4e804f97673e1f53c68de0c78f82cb36d3061a326c35578b9447f8f6385",
+    "thm2 --rounds 8 --algo first_fit": "255036cfec65ae5a06542f207653f03e455f861e1c368c768f4b0e1f4a00247d",
+    "thm2 --rounds 10 --algo barycenter": "65ebe19a1e3d53fa2da0126596f8f87ecf9ab3282829f9b7fc7aa7308c688387",
+    "thm2 --rounds 10 --algo first_fit": "9e958586d0a538c02e416ce387d3dea838f2430613bf875cc99397c450c2e4de",
+    "thm1 --n 20 --algo barycenter": "645ca3cfc15718a8830b1cc95b6ff70e6299abc61aee887ffe89129169b48392",
+    "thm1 --n 20 --algo first_fit": "c5c63433471dcaaa69f8b9b22d1d87a8d00722dbb56d242b93b978028f42f0f8",
+    "thm1 --n 40 --algo barycenter": "68a189549c30f6547dc85b24f3dadf602a47f49b62b5e8ca4ecb8c7458c3205a",
+    "thm1 --n 40 --algo first_fit": "77e9ac39988bd4564077d57792985ebc1aa24e26874115bca1956845e8f90837",
+    "fig8 --n 20 --algo barycenter": "d7991849167110989ca5d327c23673219b3e5be6bee764c9187494071f46dc13",
+    "fig8 --n 20 --algo first_fit": "a9645907a14a54b59cd9c422c3a6a60a964344c95151a01466924d9f5447ef4c",
+    "fig8 --n 40 --algo barycenter": "8cbc14f63e78e1103405815489cdf58269de17d13cbf86d511556b9b214e65cc",
+    "fig8 --n 40 --algo first_fit": "bcb102b2ee46ab09865f876797dca53d3fd120a0d4199f46febf09871ec97931",
+}
+
+
+def stdout_sha256(capsys) -> str:
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", ADVERSARY_STDOUT_SHA256)
+def test_adversary_stdout_is_byte_identical(spec, capsys):
+    assert main(["adversary", "--name", *spec.split()]) == 0
+    assert stdout_sha256(capsys) == ADVERSARY_STDOUT_SHA256[spec]
+
+
+def test_audit_stdout_is_byte_identical(tmp_path, monkeypatch, capsys):
+    # 170 double-cross findings over the game's steps; a relative path keeps
+    # the header line the same wherever the test runs.
+    monkeypatch.chdir(tmp_path)
+    save_instance(random_two_regular(16, seed=2), "inst.json")
+    assert main(["audit", "--algo", "first_fit", "--instance", "inst.json"]) == 1
+    assert stdout_sha256(capsys) == (
+        "8bc8862a7a03afa594dc76084a57901d59f522fcc814b882c2e1ad44edc673ce"
+    )
 
 
 @pytest.mark.parametrize(

@@ -118,6 +118,8 @@ def test_sweep_deterministic_and_validated():
     assert len(a.trials) == 10
     with pytest.raises(ValueError):
         sweep(GREEDY, [4], trials=0, seed=0)
+    with pytest.raises(ValueError, match="^need at least one size in ns$"):
+        sweep(GREEDY, [], trials=3, seed=0)
 
 
 def test_report_files(tmp_path):

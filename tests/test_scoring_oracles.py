@@ -13,7 +13,7 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oscm.propagation
 from oscm.adversaries import fig8_instance, thm1_adversary, thm2_adversary
@@ -40,6 +40,7 @@ from oscm.harness import (
     ReplayMismatchError,
     audit_trace,
     pair_type_histogram,
+    score_trace,
     trace_to_dict,
     unavoidable_lower_bound,
 )
@@ -308,6 +309,56 @@ def test_scoring_matches_oracles_on_partial_and_hand_built_states():
         except ARROW_ERRORS:
             pass
         assert_state_matches(state)
+
+
+def layout_trace(requests, slots):
+    """A trace with no steps whose final layout puts requests[i] at
+    slots[i]: the pair-kind scores read only the final layout."""
+    n = max([*slots, 1])
+    return Trace(n=n, steps=(), final_state=PlacementState(n=n, placed=dict(zip(slots, requests))))
+
+
+@st.composite
+def request_layouts(draw):
+    """Up to 12 requests over a few vertices (so repeats, shared and
+    touching endpoints are common, and degrees exceed two), at two
+    different slot permutations."""
+    top = draw(st.integers(2, 7))
+    ends = st.tuples(st.integers(1, top), st.integers(1, top)).filter(lambda e: e[0] != e[1])
+    requests = [Request(*sorted(e)) for e in draw(st.lists(ends, max_size=12))]
+    slots = list(range(1, len(requests) + 1))
+    return requests, slots, draw(st.permutations(slots))
+
+
+@given(request_layouts())
+@example(([], [], []))
+@example(([Request(1, 2)], [1], [1]))
+@settings(max_examples=300, deadline=None)
+def test_pair_kinds_match_oracles_on_request_multisets(layout):
+    requests, slots, permuted = layout
+    trace = layout_trace(requests, slots)
+    histogram = pair_type_histogram(trace)
+    assert list(histogram) == [kind.name for kind in PairKind]
+    assert histogram == oracle_histogram(trace.final_state)
+    assert unavoidable_lower_bound(trace) == oracle_unavoidable(trace.final_state)
+    assert pair_type_histogram(layout_trace(requests, permuted)) == histogram
+
+
+def test_score_trace_alg_is_the_final_layout_total_on_game_grids():
+    for trace in all_grid_games():
+        report = score_trace(trace, "alg", "grid", opt_value=1)
+        assert report.alg_crossings == total_crossings(trace.final_state)
+
+
+@pytest.mark.parametrize("audits", [ALL_AUDITS, frozenset()], ids=["all", "none"])
+def test_score_trace_rejects_a_stale_total_instead_of_scoring_it(audits):
+    trace = play(random_two_regular(8, 0), ALGORITHMS["greedy"])
+    for idx, step in enumerate(trace.steps):
+        steps = list(trace.steps)
+        steps[idx] = replace(step, edge_edge_total=step.edge_edge_total + 1)
+        stale = replace(trace, steps=tuple(steps))
+        with pytest.raises(ReplayMismatchError, match=f"^step {idx + 1} stored edge-edge"):
+            score_trace(stale, "greedy", "stale", audits=audits)
 
 
 def test_total_crossings_matches_oracle_on_arbitrary_items():
