@@ -4,7 +4,7 @@ plus the six-way classification of how a pair of placed requests can cross.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -66,24 +66,31 @@ def pair_crossings(r1: Request, s1: int, r2: Request, s2: int) -> int:
 
 
 def total_crossings(placements) -> int:
-    """Sum of pairwise crossings over all placed requests, counted by one
-    `segment_crossings` sweep: O(n log n) comparisons.
+    """Sum of pairwise crossings over all placed requests: the strict
+    inversions of the vertex sequence read in slot order, O(m log m)
+    comparisons for m requests (Barth, Jünger and Mutzel, "Simple and
+    Efficient Bilayer Cross Counting", JGAA 2004).
 
     Accepts a PlacementState or any iterable of (slot, Request) pairs; two
     requests sharing a slot raise ValueError.
     """
     if isinstance(placements, PlacementState):
-        items = placements.items()
-    else:
-        items = list(placements)
-        uses = Counter(s for s, _ in items)
-        shared = next((s for s, _ in items if uses[s] > 1), None)
-        if shared is not None:
-            raise ValueError(f"requests share slot {shared}")
-    edges = [(v, s) for s, r in items for v in (r.a, r.b)]
-    # Every crossing is counted once from each of its two edges; the two
-    # edges of one request share a slot and never cross.
-    return sum(segment_crossings(edges, edges)) // 2
+        placements = placements.placed.items()
+    items = list(placements)
+    uses = Counter(s for s, _ in items)
+    shared = next((s for s, _ in items if uses[s] > 1), None)
+    if shared is not None:
+        raise ValueError(f"requests share slot {shared}")
+    # An edge crosses each edge of an earlier slot with a larger vertex. The
+    # two edges of one slot come in ascending order, and edges sharing a
+    # vertex are not inverted, so neither pair counts.
+    total = 0
+    seen: list[int] = []
+    for _, r in sorted(items):
+        for v in (r.a, r.b):
+            total += len(seen) - bisect_right(seen, v)
+            insort(seen, v)
+    return total
 
 
 def added_crossings(placements, request: Request, slot: int) -> int:
@@ -105,33 +112,6 @@ def added_crossings(placements, request: Request, slot: int) -> int:
         else:
             raise ValueError(f"requests share slot {slot}")
     return total
-
-
-def segment_crossings(edges, segments) -> list[int]:
-    """For each segment (vertex, slot), the number of `edges` it crosses
-    under `edges_cross`, in O((|edges| + |segments|) log |edges|) comparisons.
-
-    One sweep over the segments in slot order keeps the sorted vertices of
-    the edges strictly left of the segment's slot (`lt`) and at or left of
-    it (`le`). A segment (v, s) crosses the edges left of s with a vertex
-    above v, and the edges right of s with a vertex below v.
-    """
-    by_slot = sorted(edges, key=lambda e: e[1])
-    every = sorted(v for v, _ in edges)
-    lt: list[int] = []
-    le: list[int] = []
-    i_lt = i_le = 0
-    out = [0] * len(segments)
-    for idx in sorted(range(len(segments)), key=lambda k: segments[k][1]):
-        v, s = segments[idx]
-        while i_lt < len(by_slot) and by_slot[i_lt][1] < s:
-            insort(lt, by_slot[i_lt][0])
-            i_lt += 1
-        while i_le < len(by_slot) and by_slot[i_le][1] <= s:
-            insort(le, by_slot[i_le][0])
-            i_le += 1
-        out[idx] = (len(lt) - bisect_right(lt, v)) + (bisect_left(every, v) - bisect_left(le, v))
-    return out
 
 
 def order_counts(r1: Request, r2: Request) -> tuple[int, int]:

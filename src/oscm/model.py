@@ -211,6 +211,9 @@ def instance_from_dict(data: dict) -> Instance:
     request that is not a two-element list, raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
+    missing = [key for key in ("n", "requests") if key not in data]
+    if missing:
+        raise ValueError("instance is missing " + " and ".join(map(repr, missing)))
     requests = data["requests"]
     if not isinstance(requests, (list, tuple)):
         raise ValueError(f"requests must be a list of pairs, got {requests!r}")

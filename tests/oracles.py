@@ -4,9 +4,8 @@ full `segment_crossings` sweeps, where the library reads one `ReplayBoard`.
 Also the helpers that build a board and compare outcomes.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 
-from oscm.crossings import segment_crossings
 from oscm.model import apply, free_slots
 from oscm.propagation import arrows, unfulfilled_slots
 from oscm.replay import ReplayBoard
@@ -18,6 +17,33 @@ def board_of(state):
     for slot, request in state.items():
         board.place(request, slot)
     return board
+
+
+def segment_crossings(edges, segments) -> list[int]:
+    """For each segment (vertex, slot), the number of `edges` it crosses
+    under `edges_cross`, in O((|edges| + |segments|) log |edges|) comparisons.
+
+    One sweep over the segments in slot order keeps the sorted vertices of
+    the edges strictly left of the segment's slot (`lt`) and at or left of
+    it (`le`). A segment (v, s) crosses the edges left of s with a vertex
+    above v, and the edges right of s with a vertex below v.
+    """
+    by_slot = sorted(edges, key=lambda e: e[1])
+    every = sorted(v for v, _ in edges)
+    lt: list[int] = []
+    le: list[int] = []
+    i_lt = i_le = 0
+    out = [0] * len(segments)
+    for idx in sorted(range(len(segments)), key=lambda k: segments[k][1]):
+        v, s = segments[idx]
+        while i_lt < len(by_slot) and by_slot[i_lt][1] < s:
+            insort(lt, by_slot[i_lt][0])
+            i_lt += 1
+        while i_le < len(by_slot) and by_slot[i_le][1] <= s:
+            insort(le, by_slot[i_le][0])
+            i_le += 1
+        out[idx] = (len(lt) - bisect_right(lt, v)) + (bisect_left(every, v) - bisect_left(le, v))
+    return out
 
 
 def edge_arrow_crossings(state):

@@ -112,6 +112,17 @@ def test_thm2_completes_to_two_regular(name, rounds):
     assert validate_instance(inst) == []
 
 
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_every_adversary_realizes_a_complete_instance(name):
+    # `oscm adversary` scores large games against the sorted-order value,
+    # which needs n requests: no adversary leaves a slot unrequested.
+    sources = [thm1_adversary(n) for n in range(4, 13)]
+    sources += [thm2_adversary(rounds) for rounds in range(1, 5)]
+    sources += [fig8_instance(n) for n in range(4, 13, 2)]
+    for source in sources:
+        assert realized_instance(play(source, ALGORITHMS[name])).is_complete
+
+
 def test_thm2_round_block_bounds_exhaustive():
     # Play one full round on a 5-slot board against every legal behavior:
     # any probe placement, then any free slot for each follow-up request.

@@ -348,13 +348,13 @@ def test_board_answers_like_a_placement_state():
 
 def test_play_copies_no_state(monkeypatch):
     # `play` drives one board: no algorithm or source makes it copy a state,
-    # scan for free slots, build an arrow set or sweep the crossings. Each
+    # scan for free slots, build an arrow set or recount the crossings. Each
     # function is replaced at every module-level name that refers to it.
     def refuse(*args):
         raise AssertionError("play copied a state or recounted from scratch")
 
     targets = (oscm.model.apply, oscm.model.free_slots, oscm.propagation.arrows)
-    targets += (oscm.crossings.segment_crossings,)
+    targets += (oscm.crossings.total_crossings,)
     for name, module in list(sys.modules.items()):
         if name == "oscm" or name.startswith("oscm."):
             for attr, value in list(vars(module).items()):

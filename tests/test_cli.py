@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscm.cli import main
-from oscm.model import random_two_regular, save_instance
+from oscm.model import instance_from_dict, random_two_regular, save_instance, validate_instance
 
 
 @pytest.fixture
@@ -22,9 +25,9 @@ def test_run_writes_csv_and_trace(instance_path, tmp_path, capsys):
          "--report", str(report), "--trace"]
     )
     assert code == 0
-    rows = list(csv.DictReader(open(report)))
+    rows = list(csv.DictReader(report.read_text().splitlines()))
     assert len(rows) == 1 and rows[0]["alg"] == "greedy"
-    trace = json.load(open(str(report) + ".trace.json"))
+    trace = json.loads((tmp_path / "out.csv.trace.json").read_text())
     assert len(trace["trace"]["steps"]) == 7
     assert "ratio=" in capsys.readouterr().out
 
@@ -36,7 +39,7 @@ def test_run_json_report(instance_path, tmp_path):
          "--report", str(report), "--format", "json", "--trace"]
     )
     assert code == 0
-    payload = json.load(open(report))
+    payload = json.loads(report.read_text())
     assert payload["alg"] == "barycenter"
     assert "trace" in payload
 
@@ -72,7 +75,7 @@ def test_bench_csv(tmp_path, capsys):
          "--seed", "1", "--report", str(report)]
     )
     assert code == 0
-    assert len(list(csv.DictReader(open(report)))) == 8
+    assert len(list(csv.DictReader(report.read_text().splitlines()))) == 8
     assert "max_ratio=" in capsys.readouterr().out
 
 
@@ -150,6 +153,12 @@ def test_user_errors_exit_2(tmp_path, capsys):
     bad.write_text('{"n": 3.5, "requests": []}')
     assert main(["run", "--algo", "greedy", "--instance", str(bad)]) == 2
     assert capsys.readouterr().err == "error: n must be an integer, got 3.5\n"
+    bad.write_text('{"n": 3}')
+    assert main(["run", "--algo", "greedy", "--instance", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: instance is missing 'requests'\n"
+    bad.write_text('{"requests": [[1, 2]]}')
+    assert main(["run", "--algo", "greedy", "--instance", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: instance is missing 'n'\n"
     assert main(["adversary", "--name", "thm1", "--n", "3", "--algo", "greedy"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     for sizes, error in [
@@ -161,6 +170,51 @@ def test_user_errors_exit_2(tmp_path, capsys):
     ]:
         assert main(["bench", "--algo", "greedy", "--n", sizes, "--trials", "2"]) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+# Small JSON documents: integers stay in -3..12, so no board above n=12 is
+# built, and instance-shaped objects are drawn often enough to be valid.
+json_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-3, 12)
+    | st.sampled_from(["general", "two_regular", "12"])
+)
+json_keys = st.sampled_from(["n", "requests", "regularity", "k"]) | st.text(max_size=2)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_keys, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def instance_documents(draw):
+    """An object with an `n` and up to n + 1 requests, mostly vertex pairs
+    in 1..n, now and then with one other JSON value among them."""
+    n = draw(st.integers(-3, 12))
+    pairs = st.lists(st.integers(1, max(n, 2)), min_size=2, max_size=2, unique=True)
+    requests = draw(st.lists(pairs, max_size=max(n, 0) + 1))
+    if draw(st.integers(0, 3)) == 3:
+        requests.insert(draw(st.integers(0, len(requests))), draw(json_documents))
+    document = {"n": n, "requests": requests}
+    if draw(st.booleans()):
+        document["regularity"] = draw(st.sampled_from(["general", "two_regular", "path"]))
+    return document
+
+
+@given(st.one_of(instance_documents(), json_documents))
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_instances_load_or_are_user_errors(tmp_path_factory, document):
+    try:
+        inst = instance_from_dict(document)
+    except ValueError:
+        pass
+    else:
+        assert validate_instance(inst) == []
+    path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    path.write_text(json.dumps(document))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["run", "--algo", "greedy", "--instance", str(path)])
+    assert code in (0, 2)
 
 
 # sha256 of the stdout of `oscm adversary` for every spec the benchmark's

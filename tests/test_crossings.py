@@ -9,7 +9,6 @@ from oscm.crossings import (
     classify_pair,
     edges_cross,
     pair_crossings,
-    segment_crossings,
     total_crossings,
 )
 from oscm.model import Request, random_two_regular
@@ -113,16 +112,6 @@ def test_uninverting_comparable_pair_never_hurts(n, seed, rng):
             swapped[i] = (sy, rx)
             swapped[j] = (sx, ry)
             assert total_crossings(swapped) <= total_crossings(items)
-
-
-segment_lists = st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)), max_size=14)
-
-
-@given(segment_lists, segment_lists)
-def test_segment_crossings_matches_pairwise_count(edges, segments):
-    # Arbitrary inputs: repeated segments, shared vertices and shared slots.
-    expected = [sum(1 for e in edges if edges_cross(e, seg)) for seg in segments]
-    assert segment_crossings(edges, segments) == expected
 
 
 @given(

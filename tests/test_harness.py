@@ -129,10 +129,10 @@ def test_report_files(tmp_path):
     json_path = tmp_path / "r.json"
     write_csv(report, str(csv_path))
     write_json(report, str(json_path), trace=trace)
-    rows = list(csv.DictReader(open(csv_path)))
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     assert len(rows) == 1 and rows[0]["alg"] == "greedy"
     assert int(rows[0]["alg_crossings"]) == report.alg_crossings
-    payload = json.load(open(json_path))
+    payload = json.loads(json_path.read_text())
     assert payload["opt_crossings"] == report.opt_crossings
     assert len(payload["trace"]["steps"]) == 6
 
@@ -141,8 +141,8 @@ def test_report_files(tmp_path):
     sweep_json = tmp_path / "s.json"
     write_csv(result, str(sweep_csv))
     write_json(result, str(sweep_json))
-    assert len(list(csv.DictReader(open(sweep_csv)))) == 5
-    assert len(json.load(open(sweep_json))["trials"]) == 5
+    assert len(list(csv.DictReader(sweep_csv.read_text().splitlines()))) == 5
+    assert len(json.loads(sweep_json.read_text())["trials"]) == 5
 
 
 def test_realized_instance_classification():

@@ -144,6 +144,19 @@ def test_instance_from_dict_rejects_coercible_values(data, message):
         instance_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"n": 3}, "instance is missing 'requests'"),
+        ({"requests": [[1, 2]]}, "instance is missing 'n'"),
+        ({"k": 2}, "instance is missing 'n' and 'requests'"),
+    ],
+)
+def test_instance_from_dict_names_a_missing_key(data, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        instance_from_dict(data)
+
+
 def test_instance_from_dict_keeps_plain_integers():
     inst = instance_from_dict({"n": 3, "requests": [[2, 1], (3, 1)]})
     assert inst.requests == (Request(1, 2), Request(1, 3))

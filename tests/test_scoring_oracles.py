@@ -63,7 +63,7 @@ from oscm.propagation import (
     cut_flows,
 )
 from oscm.replay import ReplayBoard, gap_pair_findings
-from oracles import edge_arrow_crossings, outcome
+from oracles import edge_arrow_crossings, outcome, segment_crossings
 
 ARROW_ERRORS = (ArrowMismatchError, DegreeOverflowError)
 
@@ -370,6 +370,8 @@ def test_total_crossings_matches_oracle_on_arbitrary_items():
         ]
         assert outcome(total_crossings, items) == outcome(oracle_total, items)
         assert outcome(total_crossings, iter(items)) == outcome(oracle_total, items)
+        state = PlacementState(n=7, placed=dict(items))
+        assert total_crossings(state) == oracle_total(state)
 
 
 def test_total_crossings_names_the_first_shared_slot():
@@ -378,6 +380,16 @@ def test_total_crossings_names_the_first_shared_slot():
         total_crossings(items)
     with pytest.raises(ValueError, match="^requests share slot 4$"):
         oracle_total(items)
+
+
+segment_lists = st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)), max_size=14)
+
+
+@given(segment_lists, segment_lists)
+def test_segment_crossings_matches_pairwise_count(edges, segments):
+    # Arbitrary inputs: repeated segments, shared vertices and shared slots.
+    expected = [sum(1 for e in edges if edges_cross(e, seg)) for seg in segments]
+    assert segment_crossings(edges, segments) == expected
 
 
 def test_audit_equator_words_an_unbalanced_arrow_set(monkeypatch):
