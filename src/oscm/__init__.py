@@ -8,7 +8,7 @@ Library layout:
 - :mod:`oscm.algorithms` — online algorithms and the game loop.
 - :mod:`oscm.offline` — exact offline oracle.
 - :mod:`oscm.adversaries` — adversarial request sources.
-- :mod:`oscm.replay` — the mutable board that games are played and replayed on.
+- :mod:`oscm.replay` — the one board that games are played and replayed on.
 - :mod:`oscm.harness` — experiments, audits, sweeps, reports.
 - :mod:`oscm.render` — deterministic SVG rendering.
 """
@@ -57,14 +57,7 @@ from .model import (
     validate_instance,
 )
 from .offline import OptResult, brute_force_opt, sorted_order_value
-from .propagation import (
-    PropagationArrowSet,
-    arrows,
-    audit_equator,
-    audit_no_double_cross,
-    unfulfilled_slots,
-    unfulfilled_vertices,
-)
+from .propagation import arrows, audit_equator, audit_no_double_cross
 from .render import RenderSpec, render_svg
 
 __version__ = "0.1.0"

@@ -34,11 +34,15 @@ class TraceStep:
 class Trace:
     n: int
     steps: tuple[TraceStep, ...]
-    final_state: PlacementState
 
     @property
     def requests(self) -> list[Request]:
         return [step.request for step in self.steps]
+
+    @property
+    def final_state(self) -> PlacementState:
+        """The layout the steps leave, built anew on each read."""
+        return PlacementState(n=self.n, placed={step.slot: step.request for step in self.steps})
 
 
 class RequestSource(Protocol):
@@ -179,9 +183,8 @@ class _InstanceSource:
 def play(source: Union[Instance, RequestSource], algorithm: OnlineAlgorithm) -> Trace:
     """Run a full online game on one `ReplayBoard`, recording each step's
     request, chosen slot and running edge-edge crossing total. The source
-    and the algorithm see the live board; the final state is built once.
-    A request with a vertex above n raises ValueError before the algorithm
-    is asked for a slot."""
+    and the algorithm see the live board. A request with a vertex above n
+    raises ValueError before the algorithm is asked for a slot."""
     if isinstance(source, Instance):
         source = _InstanceSource(source)
     board = ReplayBoard(source.n)
@@ -198,4 +201,4 @@ def play(source: Union[Instance, RequestSource], algorithm: OnlineAlgorithm) -> 
         slot = algorithm.choose(board, request)
         board.place(request, slot)
         steps.append(TraceStep(request=request, slot=slot, edge_edge_total=board.edge_edge_total))
-    return Trace(n=board.n, steps=tuple(steps), final_state=board.state())
+    return Trace(n=board.n, steps=tuple(steps))

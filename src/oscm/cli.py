@@ -16,14 +16,13 @@ from .harness import (
     audit_trace,
     realized_instance,
     replayed_crossings,
-    run_experiment,
     score_trace,
     sweep,
     write_csv,
     write_json,
 )
-from .model import empty_state, load_instance, random_two_regular
-from .offline import OracleSizeError, brute_force_opt, oracle_bound, sorted_order_value
+from .model import empty_state, load_instance
+from .offline import MAX_N, brute_force_opt, sorted_order_value
 from .render import RenderSpec, render_svg
 
 
@@ -69,47 +68,41 @@ def _print_report(report) -> None:
         print("  finding: " + "\n  finding: ".join(report.audit_findings))
 
 
-def _cmd_run(args) -> int:
+def _play_and_report(source, source_id: str, args) -> int:
+    """Play `source` under `--algo`, then score, print and write the game:
+    against the exact optimum up to the oracle's bound, and above it
+    against the sorted-order upper bound, which makes the printed ratio a
+    valid lower bound."""
     algorithm = get_algorithm(args.algo)
-    instance = load_instance(args.instance)
-    report, trace = run_experiment(algorithm, instance, source_id=args.instance)
-    _print_report(report)
-    _write_report(report, trace, args)
-    return 0
-
-
-def _cmd_adversary(args) -> int:
-    algorithm = get_algorithm(args.algo)
-    if args.name == "thm1":
-        source = thm1_adversary(args.n)
-    elif args.name == "thm2":
-        source = thm2_adversary(args.rounds)
-    else:
-        source = fig8_instance(args.n)
     trace = play(source, algorithm)
-    realized = realized_instance(trace)
     opt_value = None
     opt_note = "exact"
-    if realized.n > oracle_bound():
-        # Too large for the oracle: score against the sorted-order upper
-        # bound, which makes the reported ratio a valid lower bound. Every
-        # adversary sends n requests, so the instance is complete.
-        opt_value = sorted_order_value(realized)
+    if trace.n > MAX_N:
+        opt_value = sorted_order_value(realized_instance(trace))
         opt_note = "sorted-order upper bound"
-    report = score_trace(trace, algorithm.name, f"{args.name}(n={realized.n})", opt_value=opt_value)
+    report = score_trace(trace, algorithm.name, source_id, opt_value=opt_value)
     _print_report(report)
     print(f"  opt basis: {opt_note}")
     _write_report(report, trace, args)
     return 0
 
 
+def _cmd_run(args) -> int:
+    return _play_and_report(load_instance(args.instance), args.instance, args)
+
+
+def _cmd_adversary(args) -> int:
+    if args.name == "thm1":
+        source = thm1_adversary(args.n)
+    elif args.name == "thm2":
+        source = thm2_adversary(args.rounds)
+    else:
+        source = fig8_instance(args.n)
+    return _play_and_report(source, f"{args.name}(n={source.n})", args)
+
+
 def _cmd_opt(args) -> int:
-    instance = load_instance(args.instance)
-    try:
-        result = brute_force_opt(instance)
-    except OracleSizeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    result = brute_force_opt(load_instance(args.instance))
     print(f"opt={result.opt_crossings}")
     print(f"witness slots={list(result.witness.slot_of)}")
     return 0
@@ -157,8 +150,7 @@ def _cmd_render(args) -> int:
             raise ValueError(f"render needs --n >= 1, got {args.n}")
         state = empty_state(args.n)
     else:
-        print("render needs --instance or --n", file=sys.stderr)
-        return 2
+        raise ValueError("render needs --instance or --n")
     svg = render_svg(state, RenderSpec(show_arrows=not args.no_arrows))
     if args.svg:
         with open(args.svg, "w") as fh:

@@ -73,8 +73,8 @@ def _competitive_ratio(alg: int, opt: int) -> tuple[float, bool]:
 
 
 def pair_type_histogram(trace: Trace) -> dict[str, int]:
-    """Counts of each pair kind over all request pairs in the final layout,
-    in `PairKind` order.
+    """Counts of each pair kind over all pairs of the trace's requests, in
+    `PairKind` order.
 
     A pair's kind depends on its endpoints alone, not on its slots. With
     (a1, b1) and (a2, b2) the two requests: identical requests are 1-1; one
@@ -86,7 +86,7 @@ def pair_type_histogram(trace: Trace) -> dict[str, int]:
     sweep in (a, b) order the 2-2 pairs; the 3-1 pairs are the rest.
     O(m log m) comparisons for m requests, plus the insertions of the sweep.
     """
-    requests = trace.final_state.placed.values()
+    requests = trace.requests
     m = len(requests)
     by_pair = Counter((r.a, r.b) for r in requests)
     by_a = Counter(r.a for r in requests)
@@ -128,13 +128,14 @@ def audit_trace(trace: Trace, audits: frozenset[str] = ALL_AUDITS) -> list[str]:
 
     Arrow-based audits are skipped on states where arrows are undefined
     (possible for general, non-2-regular request sequences); both read the
-    board's one arrow list. The board's running edge-edge total must equal
-    every step's stored total, so once this returns, the last step's total
-    is the game's checked crossing count (`replayed_crossings`). Each
-    finding is worded once, with its "step <i>: " prefix.
+    board's one arrow list. A vertex above n raises IndexError, whichever
+    audits run. The board's running edge-edge total must equal every
+    step's stored total, so once this returns, the last step's total is
+    the game's checked crossing count (`replayed_crossings`). Each finding
+    is worded once, with its "step <i>: " prefix.
     """
     findings: list[str] = []
-    board = ReplayBoard(trace.n, track_arrows="double_cross" in audits or "equator" in audits)
+    board = ReplayBoard(trace.n)
     for idx, step in enumerate(trace.steps, start=1):
         request, slot = step.request, step.slot
         if not board.is_free(slot):

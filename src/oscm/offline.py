@@ -9,28 +9,22 @@ orderings exact, and far cheaper than enumerating slot permutations.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .crossings import pair_crossings, total_crossings
 from .model import Assignment, Instance
 
-DEFAULT_MAX_N = 9
-_MAX_N_ENV = "OSCM_BRUTE_FORCE_MAX_N"
+MAX_N = 9
 
 
 class OracleSizeError(ValueError):
-    """Instance exceeds the configured exhaustive-search bound."""
+    """Instance exceeds the exhaustive-search bound."""
 
 
 @dataclass(frozen=True)
 class OptResult:
     opt_crossings: int
     witness: Assignment
-
-
-def oracle_bound() -> int:
-    return int(os.environ.get(_MAX_N_ENV, DEFAULT_MAX_N))
 
 
 def _cost_matrix(requests) -> list[list[int]]:
@@ -60,16 +54,15 @@ def _subset_dp(c: list[list[int]]) -> list[int]:
     return dp
 
 
-def brute_force_opt(inst: Instance, max_n: int | None = None) -> OptResult:
+def brute_force_opt(inst: Instance, max_n: int = MAX_N) -> OptResult:
     """Minimum crossings over all injective request-to-slot assignments,
     with the lexicographically smallest minimizing slot vector as witness.
 
-    Accepts incomplete instances (fewer requests than slots); the bound
-    applies to n and defaults to OSCM_BRUTE_FORCE_MAX_N or 9.
+    Accepts incomplete instances (fewer requests than slots); n above
+    `max_n` raises OracleSizeError.
     """
-    bound = oracle_bound() if max_n is None else max_n
-    if inst.n > bound:
-        raise OracleSizeError(f"n={inst.n} exceeds the exhaustive-search bound {bound}")
+    if inst.n > max_n:
+        raise OracleSizeError(f"n={inst.n} exceeds the exhaustive-search bound {max_n}")
     requests = list(inst.requests)
     m = len(requests)
     if m == 0:
@@ -121,10 +114,11 @@ def brute_force_opt(inst: Instance, max_n: int | None = None) -> OptResult:
 
 
 def sorted_order_value(inst: Instance) -> int:
-    """Crossings of the assignment that sorts requests by (min, max) endpoint
-    and fills slots 1..n left to right; sequence position breaks ties."""
-    if not inst.is_complete:
-        raise ValueError("sorted-order heuristic needs a complete instance")
-    order = sorted(range(inst.n), key=lambda i: (inst.requests[i].a, inst.requests[i].b, i))
-    items = [(slot + 1, inst.requests[i]) for slot, i in enumerate(order)]
+    """Crossings of the assignment that sorts the m requests by (min, max)
+    endpoint and fills slots 1..m left to right; sequence position breaks
+    ties. Only the slots' order counts, so this is an assignment of any
+    instance, complete or not."""
+    requests = inst.requests
+    order = sorted(range(len(requests)), key=lambda i: (requests[i].a, requests[i].b, i))
+    items = [(slot + 1, requests[i]) for slot, i in enumerate(order)]
     return total_crossings(items)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import PlacementState
-from .propagation import ArrowMismatchError, DegreeOverflowError, arrows
+from .propagation import DegreeOverflowError, arrows
 
 _STYLE = (
     ".slot{fill:white;stroke:black;stroke-width:1.5}"
@@ -63,9 +63,9 @@ def render_svg(state: PlacementState, spec: RenderSpec = RenderSpec()) -> str:
 
     if spec.show_arrows:
         try:
-            arrow_set = list(arrows(state))
-        except (ArrowMismatchError, DegreeOverflowError):
-            arrow_set = []
+            arrow_set = arrows(state)
+        except DegreeOverflowError:
+            arrow_set = ()
         for v, s in arrow_set:
             parts.append(
                 f'<line class="arrow" x1="{_fmt(x(v))}" y1="{_fmt(bottom_y - 8)}" '

@@ -1,22 +1,39 @@
 """Reference implementations that the library no longer calls, kept for the
-tests: they rebuild a new state and a new arrow set and count crossings with
-full `segment_crossings` sweeps, where the library reads one `ReplayBoard`.
-Also the helpers that build a board and compare outcomes.
+tests: they rebuild a new state and a new arrow set from scratch and count
+crossings with full `segment_crossings` sweeps, where the library reads one
+`ReplayBoard`. Also the helpers that compare outcomes.
 """
 
 from bisect import bisect_left, bisect_right, insort
 
 from oscm.model import apply, free_slots
-from oscm.propagation import arrows, unfulfilled_slots
-from oscm.replay import ReplayBoard
+from oscm.propagation import degree_overflow_error
 
 
-def board_of(state):
-    """A `ReplayBoard` holding the placements of a `PlacementState`."""
-    board = ReplayBoard(state.n)
-    for slot, request in state.items():
-        board.place(request, slot)
-    return board
+def unfulfilled_vertices(state):
+    """Ascending vertex list with each vertex repeated (2 - degree) times.
+    A vertex above n raises IndexError, one above degree two
+    DegreeOverflowError."""
+    deg = state.degrees()
+    if any(d > 2 for d in deg):
+        raise degree_overflow_error(deg)
+    return [v for v in range(1, state.n + 1) for _ in range(2 - deg[v])]
+
+
+def unfulfilled_slots(state):
+    """Ascending slot list with each free slot repeated twice."""
+    return [s for s in free_slots(state) for _ in range(2)]
+
+
+def scratch_arrows(state):
+    """The propagation arrows of a `PlacementState`, built from scratch: the
+    unfulfilled vertices and slots paired position-wise. The two counts
+    disagree only when a slot lies outside 1..n, which raises ValueError."""
+    lv = unfulfilled_vertices(state)
+    ls = unfulfilled_slots(state)
+    if len(lv) != len(ls):
+        raise ValueError(f"{len(lv)} missing edges vs {len(ls)} slot openings")
+    return tuple(zip(lv, ls))
 
 
 def segment_crossings(edges, segments) -> list[int]:
@@ -48,7 +65,7 @@ def segment_crossings(edges, segments) -> list[int]:
 
 def edge_arrow_crossings(state):
     """Crossings between placed edges and the state's propagation arrows."""
-    return sum(segment_crossings(state.edges(), arrows(state).arrows))
+    return sum(segment_crossings(state.edges(), scratch_arrows(state)))
 
 
 def sweep_greedy_scores(state, request):
@@ -58,7 +75,7 @@ def sweep_greedy_scores(state, request):
     (lv[k], ls[k]) and (lv[k], ls[k + 2])). If t is the j-th free slot,
     arrow k points at ls[k] for k < 2j and at ls[k + 2] otherwise."""
     free = free_slots(state)
-    lv = [v for v, _ in arrows(apply(state, request, free[0]))]
+    lv = [v for v, _ in scratch_arrows(apply(state, request, free[0]))]
     ls = unfulfilled_slots(state)
     edges = state.edges()
     ends = request.vertices
@@ -83,4 +100,13 @@ def outcome(fn, *args):
     try:
         return fn(*args)
     except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def raised(fn, *args):
+    """Like `outcome`, but also for the IndexError a vertex above n raises
+    on a board."""
+    try:
+        return fn(*args)
+    except Exception as exc:
         return type(exc), str(exc)

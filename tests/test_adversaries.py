@@ -85,10 +85,9 @@ def test_thm1_targets_far_side_of_any_hole(hole):
     assert total_crossings(trace.final_state) >= 2 * 2 * (n // 2 - 1)
 
 
-def test_thm1_instance_opt_is_one(monkeypatch):
-    monkeypatch.setenv("OSCM_BRUTE_FORCE_MAX_N", "10")
+def test_thm1_instance_opt_is_one():
     trace = play(thm1_adversary(10), leave_slot_algorithm(5))
-    assert brute_force_opt(realized_instance(trace)).opt_crossings == 1
+    assert brute_force_opt(realized_instance(trace), max_n=10).opt_crossings == 1
 
 
 def test_thm2_board_size():

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscm.cli import main
-from oscm.model import instance_from_dict, random_two_regular, save_instance, validate_instance
+from oscm.model import (
+    Instance,
+    instance_from_dict,
+    random_two_regular,
+    save_instance,
+    validate_instance,
+)
+from oscm.offline import brute_force_opt
 
 
 @pytest.fixture
@@ -49,6 +56,24 @@ def test_opt_prints_value_and_witness(instance_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("opt=")
     assert "witness slots=" in out
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [random_two_regular(10, seed) for seed in range(5)]
+    + [Instance(n=12, requests=random_two_regular(12, seed=1).requests[:7])],
+    ids=[f"two_regular_10_seed{seed}" for seed in range(5)] + ["incomplete_12"],
+)
+def test_run_scores_instances_above_the_oracle_bound(inst, tmp_path, capsys):
+    # Above n=9 `run` scores against the sorted-order upper bound, which
+    # equals the optimum the oracle finds when allowed to run this large.
+    path = tmp_path / "inst.json"
+    save_instance(inst, str(path))
+    assert main(["run", "--algo", "greedy", "--instance", str(path)]) == 0
+    head, *lines = capsys.readouterr().out.splitlines()
+    opt = brute_force_opt(inst, max_n=inst.n).opt_crossings
+    assert f" opt={opt} " in head
+    assert lines[-1] == "  opt basis: sorted-order upper bound"
 
 
 def test_adversary_thm2(capsys):
@@ -95,6 +120,7 @@ def test_render_empty_board_stdout(capsys):
 
 def test_render_requires_source(capsys):
     assert main(["render"]) == 2
+    assert capsys.readouterr() == ("", "error: render needs --instance or --n\n")
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])
@@ -122,7 +148,8 @@ def test_findings_print_one_line_each(tmp_path, capsys):
     assert main(["run", "--algo", "first_fit", "--instance", str(path)]) == 0
     head, *lines = capsys.readouterr().out.split("\n")
     assert head.endswith(f"violations={len(findings)}")
-    assert lines == [f"  finding: {finding}" for finding in findings] + [""]
+    expected = [f"  finding: {finding}" for finding in findings]
+    assert lines == expected + ["  opt basis: exact", ""]
 
 
 def test_missing_instance_file_is_diagnosed(capsys):
@@ -161,6 +188,9 @@ def test_user_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: instance is missing 'n'\n"
     assert main(["adversary", "--name", "thm1", "--n", "3", "--algo", "greedy"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    save_instance(random_two_regular(10, seed=0), str(bad))
+    assert main(["opt", "--instance", str(bad)]) == 2
+    assert capsys.readouterr() == ("", "error: n=10 exceeds the exhaustive-search bound 9\n")
     for sizes, error in [
         ("9-4", "--n range '9-4' is empty: its first size exceeds its last"),
         ("-3", "--n takes a size, a list '4,6,8' or a range '4-9', got '-3'"),

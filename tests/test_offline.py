@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from oscm.crossings import total_crossings
 from oscm.model import Instance, Request, random_two_regular
 from oscm.offline import (
+    MAX_N,
     OracleSizeError,
     brute_force_opt,
-    oracle_bound,
     sorted_order_value,
 )
 
@@ -45,13 +45,12 @@ def test_path_with_duplicated_end_pair_opt_is_one():
     assert brute_force_opt(inst).opt_crossings == 1
 
 
-def test_size_bound_enforced_and_overridable(monkeypatch):
+def test_size_bound_enforced_and_overridable():
     inst = random_two_regular(10, seed=0)
-    with pytest.raises(OracleSizeError):
+    assert MAX_N == 9
+    with pytest.raises(OracleSizeError, match="^n=10 exceeds the exhaustive-search bound 9$"):
         brute_force_opt(inst)
-    monkeypatch.setenv("OSCM_BRUTE_FORCE_MAX_N", "10")
-    assert oracle_bound() == 10
-    assert brute_force_opt(inst).opt_crossings >= 0
+    assert brute_force_opt(inst, max_n=10).opt_crossings >= 0
 
 
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=200))
@@ -94,9 +93,12 @@ def test_sorted_order_duplicate_pair():
     assert sorted_order_value(inst) == 1
 
 
-def test_sorted_order_requires_complete_instance():
-    with pytest.raises(ValueError):
-        sorted_order_value(Instance(n=3, requests=(Request(1, 2),)))
+def test_sorted_order_scores_incomplete_instances():
+    # The m requests fill slots 1..m in sorted order; only their order counts.
+    assert sorted_order_value(Instance(n=3, requests=())) == 0
+    assert sorted_order_value(Instance(n=3, requests=(Request(1, 2),))) == 0
+    inst = Instance(n=5, requests=(Request(3, 4), Request(1, 2), Request(2, 4), Request(1, 3)))
+    assert sorted_order_value(inst) == brute_force_opt(inst).opt_crossings == 3
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=500))

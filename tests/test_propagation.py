@@ -5,21 +5,20 @@ from oscm.algorithms import ALGORITHMS, play
 from oscm.model import (
     PlacementState,
     Request,
+    SlotRangeError,
     apply,
     empty_state,
     free_slots,
     random_two_regular,
 )
 from oscm.propagation import (
-    ArrowMismatchError,
     DegreeOverflowError,
     arrows,
     audit_equator,
     audit_no_double_cross,
-    cut_flows,
-    unfulfilled_slots,
-    unfulfilled_vertices,
 )
+from oscm.replay import cut_flows
+from oracles import scratch_arrows, unfulfilled_slots, unfulfilled_vertices
 
 
 def fig4_state():
@@ -37,8 +36,9 @@ def test_unfulfilled_vertices_overflow():
     state = empty_state(3)
     for slot in (1, 2, 3):
         state = apply(state, Request(1, 2), slot)
-    with pytest.raises(DegreeOverflowError):
-        unfulfilled_vertices(state)
+    for build in (unfulfilled_vertices, arrows):
+        with pytest.raises(DegreeOverflowError, match="^vertex 1 has degree 3 > 2$"):
+            build(state)
 
 
 def test_unfulfilled_slots():
@@ -47,7 +47,7 @@ def test_unfulfilled_slots():
 
 
 def test_arrows_golden_partial_state():
-    assert arrows(fig4_state()).arrows == (
+    assert arrows(fig4_state()) == scratch_arrows(fig4_state()) == (
         (1, 1),
         (2, 1),
         (2, 3),
@@ -58,19 +58,23 @@ def test_arrows_golden_partial_state():
 
 
 def test_arrows_empty_and_full():
-    assert arrows(empty_state(2)).arrows == ((1, 1), (1, 1), (2, 2), (2, 2))
+    assert arrows(empty_state(2)) == ((1, 1), (1, 1), (2, 2), (2, 2))
     full = empty_state(2)
     full = apply(full, Request(1, 2), 1)
     full = apply(full, Request(1, 2), 2)
-    assert arrows(full).arrows == ()
+    assert arrows(full) == ()
 
 
 def test_arrows_mismatch_for_inconsistent_state():
     # Any state built with `apply` keeps deficits and openings balanced, so
-    # the mismatch guard only fires on hand-built inconsistent states.
-    state = PlacementState(n=3, placed={5: Request(1, 2)})  # slot outside 1..3
-    with pytest.raises(ArrowMismatchError):
-        arrows(state)
+    # they disagree only on hand-built states with a slot outside 1..n; no
+    # board holds such a slot, and the arrows and audits raise SlotRangeError.
+    state = PlacementState(n=3, placed={5: Request(1, 2)})
+    with pytest.raises(ValueError, match="^4 missing edges vs 6 slot openings$"):
+        scratch_arrows(state)
+    for fn in (arrows, audit_no_double_cross, audit_equator):
+        with pytest.raises(SlotRangeError, match="^slot 5 out of range 1..3$"):
+            fn(state)
 
 
 def _random_reachable_state(n, seed):
@@ -88,7 +92,8 @@ def _random_reachable_state(n, seed):
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=2000))
 def test_arrow_count_and_monotonicity(n, seed):
     state = _random_reachable_state(n, seed)
-    arr = arrows(state).arrows
+    arr = arrows(state)
+    assert arr == scratch_arrows(state)
     assert len(arr) == 2 * len(free_slots(state))
     for (v1, s1), (v2, s2) in zip(arr, arr[1:]):
         assert v1 <= v2 and s1 <= s2
@@ -140,10 +145,10 @@ def test_arrow_update_is_local(n, seed):
     state = empty_state(n)
     for req in inst.requests:
         slot = rng.choice(free_slots(state))
-        before = arrows(state).arrows
+        before = arrows(state)
         donors = [v for v, s in before if s == slot]
         after_state = apply(state, req, slot)
-        after = arrows(after_state).arrows
+        after = arrows(after_state)
         lo = min([req.a] + donors)
         hi = max([req.b] + donors)
         outside_before = Counter((v, s) for v, s in before if v < lo or v > hi)
@@ -159,8 +164,7 @@ def test_double_cross_detects_constructed_violation():
     state = apply(state, Request(3, 4), 1)
     state = apply(state, Request(1, 3), 2)
     state = apply(state, Request(1, 4), 3)
-    arr = arrows(state).arrows
-    assert arr == ((2, 4), (2, 4))
+    assert arrows(state) == ((2, 4), (2, 4))
     findings = audit_no_double_cross(state)
     assert len(findings) == 1
     assert "slot 1" in findings[0]

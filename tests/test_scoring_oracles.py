@@ -15,7 +15,6 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import oscm.propagation
 from oscm.adversaries import fig8_instance, thm1_adversary, thm2_adversary
 from oscm.algorithms import (
     ALGORITHMS,
@@ -48,24 +47,20 @@ from oscm.model import (
     Instance,
     PlacementState,
     Request,
+    SlotRangeError,
     apply,
     empty_state,
     free_slots,
     random_two_regular,
 )
 from oscm.propagation import (
-    ArrowMismatchError,
     DegreeOverflowError,
-    PropagationArrowSet,
     arrows,
     audit_equator,
     audit_no_double_cross,
-    cut_flows,
 )
-from oscm.replay import ReplayBoard, gap_pair_findings
-from oracles import edge_arrow_crossings, outcome, segment_crossings
-
-ARROW_ERRORS = (ArrowMismatchError, DegreeOverflowError)
+from oscm.replay import ReplayBoard, cut_flows, gap_pair_findings
+from oracles import edge_arrow_crossings, outcome, raised, scratch_arrows, segment_crossings
 
 
 # ----------------------------------------------------------------- oracles
@@ -136,8 +131,9 @@ def bisect_gap_findings(state_before, request, slot):
     return gap_pair_findings(request, slot, items, left_stop, right_start)
 
 
-def oracle_double_cross(state, arrow_set=None):
-    arr = (arrows(state) if arrow_set is None else arrow_set).arrows
+def oracle_double_cross(state, arr=None):
+    if arr is None:
+        arr = scratch_arrows(state)
     findings = []
     for slot, req in state.items():
         e1, e2 = (req.a, slot), (req.b, slot)
@@ -154,10 +150,10 @@ def oracle_double_cross(state, arrow_set=None):
     return findings
 
 
-def oracle_equator(state, arrow_set=None):
-    if arrow_set is None:
-        arrow_set = arrows(state)
-    segments = state.edges() + list(arrow_set)
+def oracle_equator(state, arr=None):
+    if arr is None:
+        arr = scratch_arrows(state)
+    segments = state.edges() + list(arr)
     return [
         f"cut (v<={i}, s<={i}): {lr} left-to-right vs {rl} right-to-left"
         for i, (lr, rl) in enumerate(cut_flows(state.n, segments), start=1)
@@ -176,7 +172,7 @@ def oracle_audit_trace(trace):
         try:
             findings.extend(f"step {idx}: {f}" for f in oracle_double_cross(state))
             findings.extend(f"step {idx}: {f}" for f in oracle_equator(state))
-        except ARROW_ERRORS:
+        except DegreeOverflowError:
             pass
     return findings
 
@@ -300,29 +296,39 @@ def test_scoring_matches_oracles_on_partial_and_hand_built_states():
             a = rng.randint(1, n + 1)
             placed[slot] = Request(a, a + rng.randint(1, 3))
         state = PlacementState(n=n, placed=placed)
-        # Vertices above n have no degree entry; both sides raise alike.
-        try:
-            arrows(state)
-        except IndexError:
+        if any(not 1 <= s <= n for s in placed):
+            # No board holds a slot outside 1..n: the arrows and both audits
+            # raise what loading the state in slot order raises, so
+            # SlotRangeError unless a vertex above n comes first.
+            loading = raised(ReplayBoard.of, state)
+            assert loading[0] in (SlotRangeError, IndexError)
+            for fn in (arrows, audit_no_double_cross, audit_equator):
+                assert raised(fn, state) == loading
             assert outcome(oracle_total, state) == outcome(total_crossings, state)
             continue
-        except ARROW_ERRORS:
+        # Vertices above n have no degree entry; both sides raise alike.
+        try:
+            scratch_arrows(state)
+        except IndexError:
+            for fn in (arrows, audit_no_double_cross, audit_equator):
+                assert raised(fn, state)[0] is IndexError
+            assert outcome(oracle_total, state) == outcome(total_crossings, state)
+            continue
+        except DegreeOverflowError:
             pass
         assert_state_matches(state)
 
 
 def layout_trace(requests, slots):
-    """A trace with no steps whose final layout puts requests[i] at
-    slots[i]: the pair-kind scores read only the final layout."""
-    n = max([*slots, 1])
-    return Trace(n=n, steps=(), final_state=PlacementState(n=n, placed=dict(zip(slots, requests))))
+    """A trace that places requests[i] at slots[i], in that order."""
+    return scripted_trace(max([*slots, 1]), [r.vertices for r in requests], slots)
 
 
 @st.composite
 def request_layouts(draw):
     """Up to 12 requests over a few vertices (so repeats, shared and
-    touching endpoints are common, and degrees exceed two), at two
-    different slot permutations."""
+    touching endpoints are common, and degrees exceed two), their slots,
+    and a permutation of the slots."""
     top = draw(st.integers(2, 7))
     ends = st.tuples(st.integers(1, top), st.integers(1, top)).filter(lambda e: e[0] != e[1])
     requests = [Request(*sorted(e)) for e in draw(st.lists(ends, max_size=12))]
@@ -341,7 +347,9 @@ def test_pair_kinds_match_oracles_on_request_multisets(layout):
     assert list(histogram) == [kind.name for kind in PairKind]
     assert histogram == oracle_histogram(trace.final_state)
     assert unavoidable_lower_bound(trace) == oracle_unavoidable(trace.final_state)
-    assert pair_type_histogram(layout_trace(requests, permuted)) == histogram
+    # The same requests, placed in another order and at other slots.
+    reordered = [requests[slot - 1] for slot in permuted]
+    assert pair_type_histogram(layout_trace(reordered, permuted)) == histogram
 
 
 def test_score_trace_alg_is_the_final_layout_total_on_game_grids():
@@ -392,24 +400,23 @@ def test_segment_crossings_matches_pairwise_count(edges, segments):
     assert segment_crossings(edges, segments) == expected
 
 
-def test_audit_equator_words_an_unbalanced_arrow_set(monkeypatch):
+def test_audit_equator_words_an_unbalanced_arrow_set():
     state = apply(empty_state(4), Request(1, 2), 2)
-    balanced = arrows(state)
     assert audit_equator(state) == []
-    # Shift one arrow's vertex from 3 to 1: the cuts between move one
-    # segment across in the left-to-right direction.
-    moved = list(balanced)
+    # Shift one arrow's vertex from 3 to 1 on the board: the cuts between
+    # move one segment across in the left-to-right direction.
+    board = ReplayBoard.of(state)
+    moved = list(board.arrows())
     index = moved.index((3, 3))
     moved[index] = (1, 3)
-    unbalanced = PropagationArrowSet(arrows=tuple(moved))
-    monkeypatch.setattr(oscm.propagation, "arrows", lambda s: unbalanced)
-    findings = audit_equator(state)
-    assert findings == oracle_equator(state, unbalanced)
+    board.lv[index] = 1
+    assert board.arrows() == moved
+    findings = board.equator_findings()
+    assert findings == oracle_equator(state, moved)
     assert findings == [
         "cut (v<=1, s<=1): 2 left-to-right vs 1 right-to-left",
         "cut (v<=2, s<=2): 1 left-to-right vs 0 right-to-left",
     ]
-    assert audit_equator(state, unbalanced) == findings
 
 
 def test_audit_trace_shares_the_board_arrows_between_both_audits(monkeypatch):
@@ -430,8 +437,8 @@ def test_audit_trace_shares_the_board_arrows_between_both_audits(monkeypatch):
     expected = []
     for idx, step in enumerate(trace.steps, start=1):
         state = apply(state, step.request, step.slot)
-        corrupted = PropagationArrowSet(arrows=tuple((1, t) for _, t in arrows(state)))
-        assert audit_equator(state, corrupted) == oracle_equator(state, corrupted) != []
+        corrupted = [(1, t) for _, t in scratch_arrows(state)]
+        assert oracle_equator(state, corrupted) != []
         expected += [f"step {idx}: {f}" for f in oracle_double_cross(state, corrupted)]
         expected += [f"step {idx}: {f}" for f in oracle_equator(state, corrupted)]
     assert findings == expected
@@ -444,11 +451,11 @@ def test_audit_trace_shares_the_board_arrows_between_both_audits(monkeypatch):
 
 def per_step_audit_trace(trace, audits=ALL_AUDITS):
     """`audit_trace` as it was before the replay board: every step builds a
-    new state with `apply` and a new arrow set with `arrows`."""
+    new state with `apply`, builds its arrows from scratch and runs the
+    per-state audits, each on a board loaded with that state."""
     findings = []
     state = empty_state(trace.n)
     edge_edge_total = 0
-    arrow_audits = "double_cross" in audits or "equator" in audits
     for idx, step in enumerate(trace.steps, start=1):
         if not state.is_free(step.slot):
             raise ReplayMismatchError(f"step {idx} places into unavailable slot {step.slot}")
@@ -460,16 +467,15 @@ def per_step_audit_trace(trace, audits=ALL_AUDITS):
         state = after
         if edge_edge_total != step.edge_edge_total:
             raise ReplayMismatchError(f"step {idx} stored edge-edge total is stale")
-        if not arrow_audits:
-            continue
+        # A vertex above n raises IndexError here, whichever audits run.
         try:
-            arrow_set = arrows(state)
-        except ARROW_ERRORS:
+            scratch_arrows(state)
+        except DegreeOverflowError:
             continue
         if "double_cross" in audits:
-            findings.extend(f"step {idx}: {f}" for f in audit_no_double_cross(state, arrow_set))
+            findings.extend(f"step {idx}: {f}" for f in audit_no_double_cross(state))
         if "equator" in audits:
-            findings.extend(f"step {idx}: {f}" for f in audit_equator(state, arrow_set))
+            findings.extend(f"step {idx}: {f}" for f in audit_equator(state))
     return findings
 
 
@@ -481,7 +487,7 @@ def per_step_trace_to_dict(trace):
         state = apply(state, s.request, s.slot)
         try:
             arrow_total = edge_arrow_crossings(state)
-        except ARROW_ERRORS:
+        except DegreeOverflowError:
             arrow_total = None
         steps.append(
             {
@@ -508,16 +514,7 @@ def scripted_trace(n, pairs, slots, stale_at=None):
         total += added_crossings(((s, q) for s, q in placed.items() if s != slot), request, slot)
         placed[slot] = request
         steps.append(TraceStep(request, slot, total + (idx == stale_at)))
-    return Trace(n=n, steps=tuple(steps), final_state=empty_state(n))
-
-
-def raised(fn, *args):
-    """Like `outcome`, but also for the IndexError a vertex above n raises
-    where arrows are built."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
+    return Trace(n=n, steps=tuple(steps))
 
 
 def assert_replays_agree(trace):
@@ -565,8 +562,7 @@ def test_board_replay_rejects_unavailable_slots_at_the_same_step(slots, error):
 
 def test_board_replay_rejects_a_stale_total_at_the_same_step():
     # The second trace's stale step also places vertex 5 on a 4-slot board,
-    # which raises IndexError where arrows are tracked: the stale total is
-    # still the error reported.
+    # which raises IndexError: the stale total is still the error reported.
     stale = "^step 4 stored edge-edge total is stale$"
     for trace in (
         scripted_trace(6, TWO_REGULAR_6, [6, 1, 4, 2, 5, 3], stale_at=4),
@@ -599,13 +595,11 @@ def test_board_replay_stops_arrow_audits_at_degree_overflow():
         ([(1, 2), (1, 3), (1, 4), (2, 5)], [1, 2, 3, 4]),
     ],
 )
-def test_board_replay_raises_index_error_on_a_vertex_above_n_only_for_arrow_audits(pairs, slots):
+def test_board_replay_raises_index_error_on_a_vertex_above_n_for_every_audit_subset(pairs, slots):
+    # The board keeps every vertex's degree, whichever audits run.
     trace = scripted_trace(4, pairs, slots)
     for audits in AUDIT_SUBSETS:
-        if audits & {"double_cross", "equator"}:
-            with pytest.raises(IndexError):
-                audit_trace(trace, audits)
-        else:
+        with pytest.raises(IndexError):
             audit_trace(trace, audits)
     assert_replays_agree(trace)
 
