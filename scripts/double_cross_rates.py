@@ -1,9 +1,11 @@
-"""How many random greedy games end up with a double-cross finding.
+"""How many random greedy games end up with a double-cross or a gap finding.
 
 Plays greedy on `random_two_regular(n, seed)` for seed = 0, 1, ..., count - 1
-at each size and counts the games whose trace has at least one finding of
-the double-cross audit (`oscm.propagation.audit_no_double_cross`), and the
-findings in all. Deterministic; run from the repository root:
+at each size, audits each trace once with `oscm.harness.audit_trace`, and
+counts per audit the games with at least one finding and the findings in
+all: double crosses (`oscm.propagation.audit_no_double_cross`, findings
+worded "arrows [") and gaps (a 4-0 or 3-0 pair with a free slot between,
+worded "<KIND> pair ("). Deterministic; run from the repository root:
 
     PYTHONPATH=src python3 scripts/double_cross_rates.py
     PYTHONPATH=src python3 scripts/double_cross_rates.py 10:400 20:200
@@ -16,26 +18,32 @@ import sys
 from oscm import GREEDY, audit_trace, play, random_two_regular
 
 DEFAULT = ((10, 400), (20, 200), (40, 100), (80, 50), (160, 20), (320, 10))
+KINDS = (": arrows [", " pair (")
 
 
-def rate(n: int, count: int) -> tuple[int, int]:
-    """(games with a finding, findings) over seeds 0..count-1 at size n."""
-    games = findings = 0
+def rate(n: int, count: int) -> list[tuple[int, int]]:
+    """Per kind in `KINDS`, (games with a finding, findings) over seeds
+    0..count-1 at size n."""
+    totals = [[0, 0] for _ in KINDS]
     for seed in range(count):
-        trace = play(random_two_regular(n, seed), GREEDY)
-        found = len(audit_trace(trace, frozenset({"double_cross"})))
-        games += found > 0
-        findings += found
-    return games, findings
+        findings = audit_trace(play(random_two_regular(n, seed), GREEDY))
+        for total, kind in zip(totals, KINDS):
+            found = sum(kind in f for f in findings)
+            total[0] += found > 0
+            total[1] += found
+    return [tuple(total) for total in totals]
 
 
 def main(argv: list[str]) -> None:
     plan = [tuple(map(int, arg.split(":"))) for arg in argv] or DEFAULT
-    print("| n | seeds | games with a finding | findings |")
-    print("|---:|---:|---:|---:|")
+    print(
+        "| n | seeds | games with a double cross | double crosses"
+        " | games with a gap | gaps |"
+    )
+    print("|---:|---:|---:|---:|---:|---:|")
     for n, count in plan:
-        games, findings = rate(n, count)
-        print(f"| {n} | 0..{count - 1} | {games}/{count} | {findings:,} |", flush=True)
+        cells = " | ".join(f"{games}/{count} | {found:,}" for games, found in rate(n, count))
+        print(f"| {n} | 0..{count - 1} | {cells} |", flush=True)
 
 
 if __name__ == "__main__":

@@ -92,12 +92,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_adversary(args) -> int:
-    if args.name == "thm1":
-        source = thm1_adversary(args.n)
-    elif args.name == "thm2":
-        source = thm2_adversary(args.rounds)
+    if args.name == "thm2":
+        if args.n is not None:
+            raise ValueError("--n does not apply to thm2, whose board size follows --rounds")
+        source = thm2_adversary(1 if args.rounds is None else args.rounds)
     else:
-        source = fig8_instance(args.n)
+        if args.rounds is not None:
+            raise ValueError(f"--rounds applies only to thm2, not {args.name}")
+        n = 10 if args.n is None else args.n
+        source = thm1_adversary(n) if args.name == "thm1" else fig8_instance(n)
     return _play_and_report(source, f"{args.name}(n={source.n})", args)
 
 
@@ -139,6 +142,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.instance and args.n is not None:
+        raise ValueError("render takes --instance or --n, not both")
+    if args.algo and not args.instance:
+        raise ValueError("render --algo needs --instance to play")
     if args.instance:
         instance = load_instance(args.instance)
         if args.algo:
@@ -185,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv = sub.add_parser("adversary", help="play an algorithm against an adversary")
     p_adv.add_argument("--name", required=True, choices=["thm1", "thm2", "fig8"])
     p_adv.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
-    p_adv.add_argument("--n", type=int, default=10, help="board size (thm1, fig8)")
-    p_adv.add_argument("--rounds", type=int, default=1, help="round count (thm2)")
+    p_adv.add_argument("--n", type=int, help="board size (thm1, fig8; default 10)")
+    p_adv.add_argument("--rounds", type=int, help="round count (thm2; default 1)")
     add_report_flags(p_adv)
     p_adv.set_defaults(func=_cmd_adversary)
 

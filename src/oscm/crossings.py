@@ -54,15 +54,11 @@ def edges_cross(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
 
 
 def pair_crossings(r1: Request, s1: int, r2: Request, s2: int) -> int:
-    """Number of crossing edge pairs between two placed requests."""
+    """Number of crossing edge pairs between two placed requests: the
+    `order_counts` entry for their slot order."""
     if s1 == s2:
         raise ValueError(f"requests share slot {s1}")
-    count = 0
-    for v1 in r1.vertices:
-        for v2 in r2.vertices:
-            if edges_cross((v1, s1), (v2, s2)):
-                count += 1
-    return count
+    return order_counts(r1, r2)[s1 > s2]
 
 
 def total_crossings(placements) -> int:

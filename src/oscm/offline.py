@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crossings import pair_crossings, total_crossings
+from .crossings import order_counts, total_crossings
 from .model import Assignment, Instance
 
 MAX_N = 9
@@ -32,9 +32,8 @@ def _cost_matrix(requests) -> list[list[int]]:
     m = len(requests)
     c = [[0] * m for _ in range(m)]
     for i in range(m):
-        for j in range(m):
-            if i != j:
-                c[i][j] = pair_crossings(requests[i], 1, requests[j], 2)
+        for j in range(i + 1, m):
+            c[i][j], c[j][i] = order_counts(requests[i], requests[j])
     return c
 
 

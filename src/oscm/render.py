@@ -21,14 +21,14 @@ _STYLE = (
     ".edge.highlight{stroke-width:3}"
     ".arrow{stroke:gray;stroke-width:1;stroke-dasharray:4 3}"
 )
+WIDTH = 640
+HEIGHT = 240
 
 
 @dataclass(frozen=True)
 class RenderSpec:
     show_arrows: bool = True
     highlight: Optional[tuple[int, ...]] = None
-    width: int = 640
-    height: int = 240
 
 
 def _fmt(x: float) -> str:
@@ -39,9 +39,9 @@ def render_svg(state: PlacementState, spec: RenderSpec = RenderSpec()) -> str:
     """Render a state as an SVG document string."""
     n = state.n
     margin = 40.0
-    step = (spec.width - 2 * margin) / max(n - 1, 1)
+    step = (WIDTH - 2 * margin) / max(n - 1, 1)
     top_y = margin
-    bottom_y = spec.height - margin
+    bottom_y = HEIGHT - margin
     x = lambda i: margin + (i - 1) * step
 
     if spec.highlight is not None:
@@ -54,8 +54,8 @@ def render_svg(state: PlacementState, spec: RenderSpec = RenderSpec()) -> str:
         highlighted_slots = set()
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f"<style>{_STYLE}</style>",
         '<defs><marker id="head" markerWidth="6" markerHeight="6" refX="5" refY="3" '
         'orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="gray"/></marker></defs>',

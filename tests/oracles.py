@@ -1,11 +1,13 @@
 """Reference implementations that the library no longer calls, kept for the
 tests: they rebuild a new state and a new arrow set from scratch and count
 crossings with full `segment_crossings` sweeps, where the library reads one
-`ReplayBoard`. Also the helpers that compare outcomes.
+`ReplayBoard`, or count a pair's crossings edge by edge, where the library
+reads four endpoint comparisons. Also the helpers that compare outcomes.
 """
 
 from bisect import bisect_left, bisect_right, insort
 
+from oscm.crossings import edges_cross
 from oscm.model import apply, free_slots
 from oscm.propagation import degree_overflow_error
 
@@ -34,6 +36,14 @@ def scratch_arrows(state):
     if len(lv) != len(ls):
         raise ValueError(f"{len(lv)} missing edges vs {len(ls)} slot openings")
     return tuple(zip(lv, ls))
+
+
+def edge_pair_crossings(r1, s1, r2, s2) -> int:
+    """Crossings between two placed requests: their edge pairs that
+    `edges_cross`."""
+    if s1 == s2:
+        raise ValueError(f"requests share slot {s1}")
+    return sum(edges_cross((v1, s1), (v2, s2)) for v1 in r1.vertices for v2 in r2.vertices)
 
 
 def segment_crossings(edges, segments) -> list[int]:

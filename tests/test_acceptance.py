@@ -150,14 +150,16 @@ def test_criterion_5_trace_audits(capsys, greedy_sweep):
     def body():
         # All audits (double-cross, flow balance, 3-0/4-0 gaps) ran inside
         # the criterion-4 sweep; the flow balance also holds for the other
-        # algorithms, which the extra sweeps check in isolation. The flow
+        # algorithms, whose sweeps break the greedy shapes freely, so only
+        # their flow-balance ("cut (") findings are checked. The flow
         # balance cannot fail on a correct arrow set; per step it checks
         # the replay board's arrow bookkeeping, whose stored vertex and
         # slot ends exist to catch a fault there.
         assert greedy_sweep.violation_count == 0
         for alg in (FIRST_FIT, BARYCENTER):
-            res = sweep(alg, range(4, 10), trials=200, seed=77, audits=frozenset({"equator"}))
-            assert res.violation_count == 0
+            res = sweep(alg, range(4, 10), trials=200, seed=77)
+            findings = [f for rec in res.trials for f in rec.report.audit_findings]
+            assert not any(": cut (" in f for f in findings)
     _report(5, "zero audit findings on greedy; flow balance for all", capsys, body)
 
 

@@ -200,6 +200,20 @@ def test_user_errors_exit_2(tmp_path, capsys):
     ]:
         assert main(["bench", "--algo", "greedy", "--n", sizes, "--trials", "2"]) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
+    # A flag the command would ignore is refused, not dropped.
+    save_instance(random_two_regular(4, seed=0), str(bad))
+    for argv, error in [
+        (["render", "--n", "4", "--algo", "greedy"], "render --algo needs --instance to play"),
+        (["render", "--instance", str(bad), "--n", "40"], "render takes --instance or --n, not both"),
+        (["adversary", "--name", "thm2", "--n", "99", "--algo", "greedy"],
+         "--n does not apply to thm2, whose board size follows --rounds"),
+        (["adversary", "--name", "thm1", "--rounds", "7", "--algo", "greedy"],
+         "--rounds applies only to thm2, not thm1"),
+        (["adversary", "--name", "thm2", "--rounds", "0", "--algo", "greedy"],
+         "need rounds >= 1, got 0"),
+    ]:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 # Small JSON documents: integers stay in -3..12, so no board above n=12 is

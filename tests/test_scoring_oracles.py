@@ -35,7 +35,6 @@ from oscm.crossings import (
     total_crossings,
 )
 from oscm.harness import (
-    ALL_AUDITS,
     ReplayMismatchError,
     audit_trace,
     pair_type_histogram,
@@ -60,15 +59,22 @@ from oscm.propagation import (
     audit_no_double_cross,
 )
 from oscm.replay import ReplayBoard, cut_flows, gap_pair_findings
-from oracles import edge_arrow_crossings, outcome, raised, scratch_arrows, segment_crossings
+from oracles import (
+    edge_arrow_crossings,
+    edge_pair_crossings,
+    outcome,
+    raised,
+    scratch_arrows,
+    segment_crossings,
+)
 
 
 # ----------------------------------------------------------------- oracles
 
 
 def oracle_classify(r1, s1, r2, s2):
-    placed = pair_crossings(r1, s1, r2, s2)
-    swapped = pair_crossings(r1, s2, r2, s1)
+    placed = edge_pair_crossings(r1, s1, r2, s2)
+    swapped = edge_pair_crossings(r1, s2, r2, s1)
     label = frozenset({placed, swapped})
     for kind in PairKind:
         if kind.value == label:
@@ -93,7 +99,7 @@ def oracle_unavoidable(state):
 def oracle_total(placements):
     items = placements.items() if isinstance(placements, PlacementState) else list(placements)
     return sum(
-        pair_crossings(r1, s1, r2, s2) for (s1, r1), (s2, r2) in combinations(items, 2)
+        edge_pair_crossings(r1, s1, r2, s2) for (s1, r1), (s2, r2) in combinations(items, 2)
     )
 
 
@@ -259,8 +265,9 @@ def test_classify_pair_matches_simulation_on_every_pair():
         for r2 in requests:
             for s1, s2 in ((1, 2), (2, 1), (3, 7), (7, 3)):
                 assert classify_pair(r1, s1, r2, s2) == oracle_classify(r1, s1, r2, s2)
+                assert pair_crossings(r1, s1, r2, s2) == edge_pair_crossings(r1, s1, r2, s2)
             gt, lt = order_counts(r1, r2)
-            assert (gt, lt) == (pair_crossings(r1, 1, r2, 2), pair_crossings(r1, 2, r2, 1))
+            assert (gt, lt) == (edge_pair_crossings(r1, 1, r2, 2), edge_pair_crossings(r1, 2, r2, 1))
     with pytest.raises(ValueError, match="requests share slot 3"):
         classify_pair(Request(1, 2), 3, Request(3, 4), 3)
 
@@ -358,15 +365,14 @@ def test_score_trace_alg_is_the_final_layout_total_on_game_grids():
         assert report.alg_crossings == total_crossings(trace.final_state)
 
 
-@pytest.mark.parametrize("audits", [ALL_AUDITS, frozenset()], ids=["all", "none"])
-def test_score_trace_rejects_a_stale_total_instead_of_scoring_it(audits):
+def test_score_trace_rejects_a_stale_total_instead_of_scoring_it():
     trace = play(random_two_regular(8, 0), ALGORITHMS["greedy"])
     for idx, step in enumerate(trace.steps):
         steps = list(trace.steps)
         steps[idx] = replace(step, edge_edge_total=step.edge_edge_total + 1)
         stale = replace(trace, steps=tuple(steps))
         with pytest.raises(ReplayMismatchError, match=f"^step {idx + 1} stored edge-edge"):
-            score_trace(stale, "greedy", "stale", audits=audits)
+            score_trace(stale, "greedy", "stale")
 
 
 def test_total_crossings_matches_oracle_on_arbitrary_items():
@@ -432,7 +438,8 @@ def test_audit_trace_shares_the_board_arrows_between_both_audits(monkeypatch):
         board.lv = [1] * len(board.lv)
 
     monkeypatch.setattr(ReplayBoard, "place", place_then_corrupt)
-    findings = audit_trace(trace, audits=frozenset({"double_cross", "equator"}))
+    # first_fit leaves no free slot between placed ones, so no gap findings.
+    findings = audit_trace(trace)
     state = empty_state(trace.n)
     expected = []
     for idx, step in enumerate(trace.steps, start=1):
@@ -449,7 +456,7 @@ def test_audit_trace_shares_the_board_arrows_between_both_audits(monkeypatch):
 # ------------------------------------------------ replay board vs per-step
 
 
-def per_step_audit_trace(trace, audits=ALL_AUDITS):
+def per_step_audit_trace(trace):
     """`audit_trace` as it was before the replay board: every step builds a
     new state with `apply`, builds its arrows from scratch and runs the
     per-state audits, each on a board loaded with that state."""
@@ -459,23 +466,20 @@ def per_step_audit_trace(trace, audits=ALL_AUDITS):
     for idx, step in enumerate(trace.steps, start=1):
         if not state.is_free(step.slot):
             raise ReplayMismatchError(f"step {idx} places into unavailable slot {step.slot}")
-        if "gap" in audits:
-            gap = bisect_gap_findings(state, step.request, step.slot)
-            findings.extend(f"step {idx}: {f}" for f in gap)
+        gap = bisect_gap_findings(state, step.request, step.slot)
+        findings.extend(f"step {idx}: {f}" for f in gap)
         after = apply(state, step.request, step.slot)
         edge_edge_total += added_crossings(state, step.request, step.slot)
         state = after
         if edge_edge_total != step.edge_edge_total:
             raise ReplayMismatchError(f"step {idx} stored edge-edge total is stale")
-        # A vertex above n raises IndexError here, whichever audits run.
+        # A vertex above n raises IndexError here.
         try:
             scratch_arrows(state)
         except DegreeOverflowError:
             continue
-        if "double_cross" in audits:
-            findings.extend(f"step {idx}: {f}" for f in audit_no_double_cross(state))
-        if "equator" in audits:
-            findings.extend(f"step {idx}: {f}" for f in audit_equator(state))
+        findings.extend(f"step {idx}: {f}" for f in audit_no_double_cross(state))
+        findings.extend(f"step {idx}: {f}" for f in audit_equator(state))
     return findings
 
 
@@ -500,11 +504,6 @@ def per_step_trace_to_dict(trace):
     return {"n": trace.n, "steps": steps}
 
 
-AUDIT_SUBSETS = [
-    frozenset(audits) for k in range(4) for audits in combinations(sorted(ALL_AUDITS), k)
-]
-
-
 def scripted_trace(n, pairs, slots, stale_at=None):
     """A trace of `pairs` placed at `slots`, unchecked, with running totals
     counted as they should be except one more at step `stale_at`."""
@@ -519,21 +518,17 @@ def scripted_trace(n, pairs, slots, stale_at=None):
 
 def assert_replays_agree(trace):
     """The board and the per-step replay agree on every prefix of the
-    trace under every audit subset: the same findings, or the same error
-    raised at the same step; `trace_to_dict` likewise."""
+    trace: the same findings, or the same error raised at the same step;
+    `trace_to_dict` likewise."""
     for stop in range(len(trace.steps) + 1):
         prefix = replace(trace, steps=trace.steps[:stop])
-        for audits in AUDIT_SUBSETS:
-            assert raised(audit_trace, prefix, audits) == raised(
-                per_step_audit_trace, prefix, audits
-            )
+        assert raised(audit_trace, prefix) == raised(per_step_audit_trace, prefix)
         assert raised(trace_to_dict, prefix) == raised(per_step_trace_to_dict, prefix)
 
 
-@pytest.mark.parametrize("audits", AUDIT_SUBSETS, ids=lambda a: "+".join(sorted(a)) or "none")
-def test_board_replay_matches_per_step_replay_on_game_grids(audits):
+def test_board_replay_matches_per_step_replay_on_game_grids():
     for trace in all_grid_games():
-        assert audit_trace(trace, audits) == per_step_audit_trace(trace, audits)
+        assert audit_trace(trace) == per_step_audit_trace(trace)
 
 
 def test_board_trace_to_dict_matches_per_step_replay_on_game_grids():
@@ -554,9 +549,8 @@ TWO_REGULAR_6 = [(1, 2), (3, 4), (5, 6), (1, 3), (2, 5), (4, 6)]
 )
 def test_board_replay_rejects_unavailable_slots_at_the_same_step(slots, error):
     trace = scripted_trace(6, TWO_REGULAR_6, slots)
-    for audits in AUDIT_SUBSETS:
-        with pytest.raises(ReplayMismatchError, match=f"^{error}$"):
-            audit_trace(trace, audits)
+    with pytest.raises(ReplayMismatchError, match=f"^{error}$"):
+        audit_trace(trace)
     assert_replays_agree(trace)
 
 
@@ -568,9 +562,8 @@ def test_board_replay_rejects_a_stale_total_at_the_same_step():
         scripted_trace(6, TWO_REGULAR_6, [6, 1, 4, 2, 5, 3], stale_at=4),
         scripted_trace(4, [(1, 2), (3, 4), (2, 3), (1, 5)], [2, 4, 1, 3], stale_at=4),
     ):
-        for audits in AUDIT_SUBSETS:
-            with pytest.raises(ReplayMismatchError, match=stale):
-                audit_trace(trace, audits)
+        with pytest.raises(ReplayMismatchError, match=stale):
+            audit_trace(trace)
         assert_replays_agree(trace)
 
 
@@ -596,11 +589,10 @@ def test_board_replay_stops_arrow_audits_at_degree_overflow():
     ],
 )
 def test_board_replay_raises_index_error_on_a_vertex_above_n_for_every_audit_subset(pairs, slots):
-    # The board keeps every vertex's degree, whichever audits run.
+    # The board keeps every vertex's degree, also past an overflow.
     trace = scripted_trace(4, pairs, slots)
-    for audits in AUDIT_SUBSETS:
-        with pytest.raises(IndexError):
-            audit_trace(trace, audits)
+    with pytest.raises(IndexError):
+        audit_trace(trace)
     assert_replays_agree(trace)
 
 

@@ -9,7 +9,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_double_cross_rates_match_the_quoted_table():
-    # README and `audit_no_double_cross` quote these two columns.
+    # README and `audit_no_double_cross` quote the double-cross columns,
+    # README the gap columns.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -22,4 +23,7 @@ def test_double_cross_rates_match_the_quoted_table():
     )
     assert result.returncode == 0, result.stderr
     rows = result.stdout.splitlines()[2:]
-    assert rows == ["| 10 | 0..399 | 5/400 | 8 |", "| 20 | 0..199 | 67/200 | 186 |"]
+    assert rows == [
+        "| 10 | 0..399 | 5/400 | 8 | 0/400 | 0 |",
+        "| 20 | 0..199 | 67/200 | 186 | 0/200 | 0 |",
+    ]
