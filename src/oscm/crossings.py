@@ -89,27 +89,6 @@ def total_crossings(placements) -> int:
     return total
 
 
-def added_crossings(placements, request: Request, slot: int) -> int:
-    """Crossings between `request` at `slot` and every placed request: the
-    amount `total_crossings` grows by when the request is added. O(n).
-
-    Accepts a PlacementState or any iterable of (slot, Request) pairs.
-    """
-    if isinstance(placements, PlacementState):
-        placements = placements.placed.items()
-    a, b = request.a, request.b
-    total = 0
-    for s, q in placements:
-        if s < slot:
-            # q's edges cross r's wherever q's vertex lies right of r's.
-            total += (q.a > a) + (q.a > b) + (q.b > a) + (q.b > b)
-        elif s > slot:
-            total += (q.a < a) + (q.a < b) + (q.b < a) + (q.b < b)
-        else:
-            raise ValueError(f"requests share slot {slot}")
-    return total
-
-
 def order_counts(r1: Request, r2: Request) -> tuple[int, int]:
     """(gt, lt): the crossings between r1 and r2 with r1 in the left slot
     and with r1 in the right slot, from the four endpoint comparisons.

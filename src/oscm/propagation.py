@@ -62,8 +62,9 @@ def audit_no_double_cross(state: PlacementState) -> list[str]:
     and 320 (10). The audit reports the configuration; callers decide
     whether a finding is an error.
 
-    `ReplayBoard.double_cross_findings` finds them with two bisections per
-    fulfilled slot.
+    `ReplayBoard.double_cross_findings` finds them with one comparison per
+    side of each fulfilled slot, and a bisection only where the nearest
+    target on that side offends.
     """
     return _arrow_board(state).double_cross_findings()
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 
-from .crossings import PairKind, added_crossings
+from .crossings import PairKind
 from .model import PlacementState, Request, unavailable_slot_error
 
 
@@ -79,6 +79,17 @@ def arrows_crossing(lv, v, left) -> int:
     return max(left - bisect_right(lv, v), bisect_left(lv, v) - left, 0)
 
 
+def _above_minus_below(items, a: int, b: int) -> int:
+    """Over the (slot, request) pairs `items`, the request ends above a
+    plus those above b, minus the ends below a and those below b."""
+    total = 0
+    for _, q in items:
+        x, y = q.a, q.b
+        total += (x > a) - (x < a) + (x > b) - (x < b)
+        total += (y > a) - (y < a) + (y > b) - (y < b)
+    return total
+
+
 class ReplayBoard:
     """A layout kept on sorted lists while requests are placed one by one.
 
@@ -92,16 +103,18 @@ class ReplayBoard:
     It also keeps the vertex degrees (`degree`, index 0 unused), the
     sorted unfulfilled-vertex list `lv` (each vertex once per missing
     edge) and the sorted vertex ends of the placed edges (`ends`), which
-    the equator audit checks against `slot_ends`. The propagation arrows
-    are `lv` paired position by position with the doubled free-slot list
-    (`arrows`). Once a vertex exceeds degree two the arrows are undefined,
-    and `lv` is None from then on. A vertex above n has no degree entry
+    count each placement's crossings and which the equator audit checks
+    against `slot_ends`. The propagation arrows are `lv` paired position
+    by position with the doubled free-slot list (`arrows`). Once a vertex
+    exceeds degree two the arrows are undefined, and `lv` is None from
+    then on; `ends` is still kept. A vertex above n has no degree entry
     and raises IndexError.
 
     Request sources and algorithms read the live lists `free`, `degree`
     and `by_slot` (greedy also `lv` and `edge_edge_total`) and must not
-    edit them. A placement is a few bisections and list edits, plus one
-    pass over the placed requests for the crossings it adds.
+    edit them. A placement is a few bisections and list edits, plus a
+    pass over the placed requests on the shorter side of its slot for the
+    crossings it adds: none at either end of the layout.
     """
 
     def __init__(self, n: int):
@@ -132,16 +145,34 @@ class ReplayBoard:
     def place(self, request: Request, slot: int) -> None:
         """Record `request` at `slot`; an unavailable slot raises the error
         `model.apply` raises. The running total is counted before a vertex
-        above n can raise."""
+        above n can raise.
+
+        The new edges cross every placed edge on the left with a vertex
+        above theirs and every one on the right with a vertex below. Two
+        bisections of `ends` count the placed ends below a and b, as if
+        every placed request lay right of `slot`, or those above, as if
+        every one lay left of it. Only the placed requests on the shorter
+        side of `slot` are then visited, each moved to its true side by
+        the signs of its ends against a and b (`_above_minus_below`)."""
         free = self.free
         k = bisect_left(free, slot)
         if k == len(free) or free[k] != slot:
             raise unavailable_slot_error(self.n, slot)
-        self.edge_edge_total += added_crossings(self.by_slot, request, slot)
-        del free[k]
-        self.by_slot.insert(slot - 1 - k, (slot, request))
-        degree, lv = self.degree, self.lv
+        by_slot, ends = self.by_slot, self.ends
         a, b = request.a, request.b
+        pos = slot - 1 - k
+        if 2 * pos <= len(by_slot):
+            below = bisect_left(ends, a) + bisect_left(ends, b)
+            added = below + _above_minus_below(by_slot[:pos], a, b)
+        else:
+            above = 2 * len(ends) - bisect_right(ends, a) - bisect_right(ends, b)
+            added = above - _above_minus_below(by_slot[pos:], a, b)
+        self.edge_edge_total += added
+        del free[k]
+        by_slot.insert(pos, (slot, request))
+        insort(ends, a)
+        insort(ends, b)
+        degree, lv = self.degree, self.lv
         degree[a] += 1
         degree[b] += 1
         if lv is None:
@@ -151,8 +182,6 @@ class ReplayBoard:
             return
         del lv[bisect_left(lv, a)]
         del lv[bisect_left(lv, b)]
-        insort(self.ends, a)
-        insort(self.ends, b)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(v, s) for s, q in self.by_slot for v in (q.a, q.b)]
@@ -188,35 +217,47 @@ class ReplayBoard:
         `prefix`: two arrows into one free slot that both cross both edges
         of a fulfilled slot.
 
-        Each free slot's two arrows are adjacent in `lv`, and both lower
-        and upper arrow vertices are nondecreasing in slot order. An arrow
-        into a slot left of the fulfilled slot (a, b) crosses both edges
-        when its vertex lies above b, one into a slot right of it when its
-        vertex lies below a. So the targets on the left whose lower vertex
-        lies above b are a suffix, the targets on the right whose upper
-        vertex lies below a are a prefix, and two bisections per fulfilled
-        slot find both, one run of adjacent targets:
-        O(placed * log n + findings). The i-th fulfilled slot s, counting
-        from 0, has s - 1 - i free slots left of it: that is where the left
-        targets end and the right ones begin, with no search.
+        The j-th free slot's two arrows are lv[2j] and lv[2j + 1], so both
+        its lower and its upper arrow vertex are nondecreasing in j. An
+        arrow into a slot left of the fulfilled slot (a, b) crosses both
+        edges when its vertex lies above b, one into a slot right of it
+        when its vertex lies below a. The i-th fulfilled slot s, counting
+        from 0, has split = s - 1 - i free slots left of it. So its left
+        targets whose lower vertex lies above b are a suffix of the first
+        split, and its right targets whose upper vertex lies below a a
+        prefix of the rest. Both are empty unless the nearest target on
+        that side qualifies, which is one comparison, and at most one side
+        does (lv[2 split - 2] <= lv[2 split + 1]); only then does one
+        bisection of `lv` find where the run ends. A target's finding text
+        up to the fulfilled slot is formatted once, when it first falls in
+        a run. So a call costs O(placed) comparisons, one bisection per
+        fulfilled slot with findings and O(1) list work per finding.
         """
-        lower, upper = self.lv[::2], self.lv[1::2]
-        heads = None  # per target, the finding text up to the fulfilled slot
+        lv, free = self.lv, self.free
+        heads: list[str | None] = [None] * len(free)
         findings = []
         for i, (slot, req) in enumerate(self.by_slot):
             split = slot - 1 - i
-            first = bisect_right(lower, req.b, 0, split)
-            stop = bisect_left(upper, req.a, split)
-            if first == stop:
+            a, b = req.a, req.b
+            if split and lv[2 * split - 2] > b:
+                first, stop = (bisect_right(lv, b, 0, 2 * split - 2) + 1) // 2, split
+            elif split < len(free) and lv[2 * split + 1] < a:
+                first, stop = split, bisect_left(lv, a, 2 * split + 2) // 2
+            else:
                 continue
-            if heads is None:
-                heads = [
-                    f"{prefix}arrows [({v}, {t}), ({w}, {t})] into slot {t} "
-                    "each cross both edges of slot "
-                    for v, w, t in zip(lower, upper, self.free)
-                ]
-            tail = f"{slot} ({req.a},{req.b})"
-            findings.extend([head + tail for head in heads[first:stop]])
+            run = heads[first:stop]
+            # Only a run with a new target pays a Python loop over it.
+            if None in run:
+                for j in range(first, stop):
+                    if heads[j] is None:
+                        t = free[j]
+                        heads[j] = (
+                            f"{prefix}arrows [({lv[2 * j]}, {t}), ({lv[2 * j + 1]}, {t})] "
+                            f"into slot {t} each cross both edges of slot "
+                        )
+                run = heads[first:stop]
+            tail = f"{slot} ({a},{b})"
+            findings.extend([head + tail for head in run])
         return findings
 
     def equator_findings(self) -> list[str]:

@@ -1,14 +1,16 @@
 """Reference implementations that the library no longer calls, kept for the
 tests: they rebuild a new state and a new arrow set from scratch and count
 crossings with full `segment_crossings` sweeps, where the library reads one
-`ReplayBoard`, or count a pair's crossings edge by edge, where the library
-reads four endpoint comparisons. Also the helpers that compare outcomes.
+`ReplayBoard`, count a pair's crossings edge by edge, where the library
+reads four endpoint comparisons, or count a placement's crossings against
+every placed request, where the board bisects its sorted vertex ends. Also
+the helpers that compare outcomes.
 """
 
 from bisect import bisect_left, bisect_right, insort
 
 from oscm.crossings import edges_cross
-from oscm.model import apply, free_slots
+from oscm.model import PlacementState, apply, free_slots
 from oscm.propagation import degree_overflow_error
 
 
@@ -44,6 +46,29 @@ def edge_pair_crossings(r1, s1, r2, s2) -> int:
     if s1 == s2:
         raise ValueError(f"requests share slot {s1}")
     return sum(edges_cross((v1, s1), (v2, s2)) for v1 in r1.vertices for v2 in r2.vertices)
+
+
+def added_crossings(placements, request, slot) -> int:
+    """Crossings between `request` at `slot` and every placed request: the
+    amount `total_crossings` grows by when the request is added, one placed
+    request at a time. `ReplayBoard.place` counts the same from its sorted
+    vertex ends.
+
+    Accepts a PlacementState or any iterable of (slot, Request) pairs.
+    """
+    if isinstance(placements, PlacementState):
+        placements = placements.placed.items()
+    a, b = request.a, request.b
+    total = 0
+    for s, q in placements:
+        if s < slot:
+            # q's edges cross r's wherever q's vertex lies right of r's.
+            total += (q.a > a) + (q.a > b) + (q.b > a) + (q.b > b)
+        elif s > slot:
+            total += (q.a < a) + (q.a < b) + (q.b < a) + (q.b < b)
+        else:
+            raise ValueError(f"requests share slot {slot}")
+    return total
 
 
 def segment_crossings(edges, segments) -> list[int]:

@@ -5,13 +5,13 @@ from hypothesis import given, strategies as st
 
 from oscm.crossings import (
     PairKind,
-    added_crossings,
     classify_pair,
     edges_cross,
     pair_crossings,
     total_crossings,
 )
 from oscm.model import Request, random_two_regular
+from oracles import added_crossings
 
 
 def test_edges_cross_rule():

@@ -27,7 +27,6 @@ from oscm.crossings import (
     PairCrossKind,
     PairKind,
     UnclassifiablePairError,
-    added_crossings,
     classify_pair,
     edges_cross,
     order_counts,
@@ -60,6 +59,7 @@ from oscm.propagation import (
 )
 from oscm.replay import ReplayBoard, cut_flows, gap_pair_findings
 from oracles import (
+    added_crossings,
     edge_arrow_crossings,
     edge_pair_crossings,
     outcome,
@@ -617,3 +617,100 @@ def random_traces(draw):
 @settings(max_examples=200, deadline=None)
 def test_board_replay_matches_per_step_replay_on_random_traces(trace):
     assert_replays_agree(trace)
+
+
+# ------------------------------------------- board counts and split extremes
+
+# Vertex 1 is in the first three requests, so the arrows are undefined from
+# step 3 on (no single request can push a vertex past degree two) and the
+# board's sorted vertex ends alone must keep the count right.
+GENERAL_9 = [(1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (1, 7), (4, 8), (5, 9), (2, 9)]
+# Steps 3 and 9 place with exactly half the placed slots on the left.
+SHUFFLED_9 = [6, 1, 3, 9, 7, 2, 8, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "slots",
+    [list(range(1, 10)), list(range(9, 0, -1)), SHUFFLED_9],
+    ids=["slot-order", "reverse-slot-order", "shuffled"],
+)
+def test_board_count_matches_oracles_after_degree_overflow(slots):
+    board = ReplayBoard(9)
+    placed = []
+    halves = 0
+    for step, (pair, slot) in enumerate(zip(GENERAL_9, slots), start=1):
+        request = Request(*pair)
+        left = sum(s < slot for s, _ in board.by_slot)
+        halves += 0 < 2 * left == len(board.by_slot)
+        before = board.edge_edge_total
+        board.place(request, slot)
+        assert board.edge_edge_total - before == added_crossings(placed, request, slot)
+        placed.append((slot, request))
+        assert board.edge_edge_total == total_crossings(placed)
+        assert board.ends == sorted(v for _, q in placed for v in q.vertices)
+        assert (board.lv is None) == (step >= 3)
+    assert halves == (2 if slots == SHUFFLED_9 else 0)
+
+
+@pytest.mark.parametrize("placed_slot, slot", [(1, 3), (4, 2)])
+def test_board_counts_a_placement_before_a_vertex_above_n_raises(placed_slot, slot):
+    # (1,5) right of (3,4) crosses it twice, as it does left of it; the
+    # first case counts from the placed requests on the right (none), the
+    # second from those on the left (none).
+    board = ReplayBoard(4)
+    board.place(Request(3, 4), placed_slot)
+    with pytest.raises(IndexError):
+        board.place(Request(1, 5), slot)
+    assert board.edge_edge_total == 2
+    assert added_crossings([(placed_slot, Request(3, 4))], Request(1, 5), slot) == 2
+
+
+def double_cross_state(n, pairs, slots):
+    return PlacementState(n=n, placed={s: Request(*p) for p, s in zip(pairs, slots)})
+
+
+@pytest.mark.parametrize(
+    "state, targets",
+    [
+        # No free slot left of the fulfilled slot (split 0): right side only.
+        (double_cross_state(4, [(3, 4)], [1]), [(1, [2, 3])]),
+        # No free slot right of it (split == len(free)): left side only.
+        (double_cross_state(4, [(1, 2)], [4]), [(4, [2, 3])]),
+        # A fulfilled slot in the middle with findings on its left only, and
+        # one with findings on its right only.
+        (double_cross_state(6, [(1, 2)], [4]), [(4, [2, 3])]),
+        (double_cross_state(6, [(5, 6)], [3]), [(3, [4, 5])]),
+        # Two fulfilled slots whose runs share targets 3, 4 and 5.
+        (double_cross_state(6, [(4, 5), (5, 6)], [1, 2]), [(1, [3, 4, 5]), (2, [3, 4, 5])]),
+        # Both layout ends fulfilled: a right run and a left run that
+        # overlap in targets 3 and 4.
+        (double_cross_state(6, [(1, 2), (5, 6)], [6, 1]), [(1, [2, 3, 4]), (6, [3, 4, 5])]),
+        # The arrows into slot 1, (1, 1) and (3, 1), straddle b = 2 of slot
+        # 6, so the left run of slot 6 starts at slot 2.
+        (double_cross_state(6, [(2, 3), (1, 2)], [5, 6]), [(5, [2, 3, 4]), (6, [2, 3, 4])]),
+        # The arrows into slot 3, (1, 3) and (2, 3), straddle a = 2 of slot
+        # 1: no finding on either side.
+        (double_cross_state(4, [(2, 3), (1, 4)], [1, 2]), []),
+    ],
+)
+def test_double_cross_audit_at_split_extremes(state, targets):
+    findings = audit_no_double_cross(state)
+    assert findings == oracle_double_cross(state)
+    found = [
+        (int(f.split(" of slot ")[1].split()[0]), int(f.split(" into slot ")[1].split()[0]))
+        for f in findings
+    ]
+    assert found == [(slot, t) for slot, ts in targets for t in ts]
+
+
+def test_audit_trace_prefixes_every_double_cross_head_with_its_step():
+    # Step 1 reports targets 2-4 of slot 1; at step 2 the heads of targets
+    # 3-5 are built for slot 1 and serve slot 2 too.
+    trace = scripted_trace(6, [(4, 5), (5, 6)], [1, 2])
+    findings = audit_trace(trace)
+    assert findings == oracle_audit_trace(trace)
+    heads = [f[: len("step 1: arrows [")] for f in findings]
+    assert heads == ["step 1: arrows ["] * 3 + ["step 2: arrows ["] * 6
+    assert findings[3] == (
+        "step 2: arrows [(1, 3), (1, 3)] into slot 3 each cross both edges of slot 1 (4,5)"
+    )
