@@ -8,9 +8,14 @@ Three constructions are played out:
    the offline optimum is 1.
 2. The adaptive adversary probes with one request, watches where it lands,
    and answers with a block tailored to that choice, round after round.
-   Against the greedy algorithm the realized ratio stays safely above 1.25.
+   Each answer block costs any placement at least 4 crossings where the
+   optimum needs 3. Against greedy, with r rounds and r a multiple of 4, the
+   game ends at 5r+3 crossings against an optimum of 15r/4+3.
 3. The duplicated-pairs family is a fixed (non-adaptive) sequence on which
    the barycenter heuristic degrades with n while greedy stays optimal.
+
+Every optimum here is the (a, b)-sorted order's value
+(`oscm.offline.sorted_order_value`), exact at every size.
 
 Run: python3 demos/02_adversary_games.py
 """
@@ -19,7 +24,7 @@ from oscm.adversaries import fig8_instance, thm1_adversary, thm2_adversary
 from oscm.algorithms import BARYCENTER, GREEDY, OnlineAlgorithm, play
 from oscm.crossings import total_crossings
 from oscm.harness import realized_instance, run_experiment
-from oscm.offline import brute_force_opt, sorted_order_value
+from oscm.offline import sorted_order_value
 
 
 def path_adversary_demo() -> None:
@@ -33,7 +38,7 @@ def path_adversary_demo() -> None:
     alg = OnlineAlgorithm(name="leave_slot_5", choose=leave_slot_5)
     trace = play(thm1_adversary(n), alg)
     alg_crossings = total_crossings(trace.final_state)
-    opt = brute_force_opt(realized_instance(trace), max_n=10).opt_crossings
+    opt = sorted_order_value(realized_instance(trace))
     print(f"n={n}: {alg.name} pays {alg_crossings} crossings, optimum is {opt}")
     print(f"final request (aimed at the hole): "
           f"({trace.steps[-1].request.a},{trace.steps[-1].request.b})")
@@ -46,9 +51,9 @@ def adaptive_adversary_demo() -> None:
         trace = play(thm2_adversary(rounds), GREEDY)
         inst = realized_instance(trace)
         alg_crossings = total_crossings(trace.final_state)
-        upper = sorted_order_value(inst)
+        opt = sorted_order_value(inst)
         print(f"rounds={rounds:2} n={inst.n:3}: greedy={alg_crossings:4} "
-              f"sorted-order bound={upper:4} ratio>= {alg_crossings / upper:.3f}")
+              f"opt={opt:4} ratio={alg_crossings / opt:.3f}")
     print()
 
 
@@ -56,8 +61,9 @@ def duplicated_pairs_demo() -> None:
     print("== duplicated-pairs family ==")
     for n in (4, 6, 8):
         inst = fig8_instance(n)
-        bary, _ = run_experiment(BARYCENTER, inst, source_id=f"dup({n})")
-        greedy, _ = run_experiment(GREEDY, inst, source_id=f"dup({n})")
+        opt = sorted_order_value(inst)
+        bary, _ = run_experiment(BARYCENTER, inst, source_id=f"dup({n})", opt_value=opt)
+        greedy, _ = run_experiment(GREEDY, inst, source_id=f"dup({n})", opt_value=opt)
         print(f"n={n}: opt={bary.opt_crossings} "
               f"barycenter={bary.alg_crossings} (ratio {bary.ratio:.2f})  "
               f"greedy={greedy.alg_crossings} (ratio {greedy.ratio:.2f})")

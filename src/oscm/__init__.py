@@ -6,7 +6,7 @@ Library layout:
 - :mod:`oscm.crossings` — exact crossing counts and the pair taxonomy.
 - :mod:`oscm.propagation` — propagation arrows and state auditors.
 - :mod:`oscm.algorithms` — online algorithms and the game loop.
-- :mod:`oscm.offline` — exact offline oracle.
+- :mod:`oscm.offline` — the offline optimum: sorted-order closed form and exponential oracle.
 - :mod:`oscm.adversaries` — adversarial request sources.
 - :mod:`oscm.replay` — the one board that games are played and replayed on.
 - :mod:`oscm.harness` — experiments, audits, sweeps, reports.
@@ -56,7 +56,7 @@ from .model import (
     save_instance,
     validate_instance,
 )
-from .offline import OptResult, brute_force_opt, sorted_order_value
+from .offline import OptResult, brute_force_opt, sorted_order_opt, sorted_order_value
 from .propagation import arrows, audit_equator, audit_no_double_cross
 from .render import RenderSpec, render_svg
 

@@ -1,5 +1,8 @@
-"""Command-line interface: play games, run adversaries, query the exact
-oracle, audit traces, benchmark sweeps, and render states to SVG.
+"""Command-line interface: play games, run adversaries, print an
+instance's optimum with a witness, audit traces, benchmark sweeps, and
+render states to SVG. `run`, `adversary` and `opt` read the optimum from
+the sorted-order closed form (`offline.sorted_order_value`), exact at every
+size; `bench` scores against `score_trace`'s default oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .harness import (
     write_json,
 )
 from .model import empty_state, load_instance
-from .offline import MAX_N, brute_force_opt, sorted_order_value
+from .offline import sorted_order_opt, sorted_order_value
 from .render import RenderSpec, render_svg
 
 
@@ -46,14 +49,25 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _write_report(report, trace, args) -> None:
-    if not args.report:
+def _refuse_report_flags_without_report(args) -> None:
+    """`--format` and `--trace` shape the `--report` file; without one they
+    would be ignored, so they are refused."""
+    if args.report:
         return
+    if args.format:
+        raise ValueError("--format needs --report")
+    if getattr(args, "trace", False):
+        raise ValueError("--trace needs --report")
+
+
+def _write_report(report, args, trace=None) -> None:
+    """Write `report` to `--report` as `--format` (csv when left out), and
+    `trace` with it: inside the JSON, or beside the CSV."""
     if args.format == "json":
-        write_json(report, args.report, trace=trace if args.trace else None)
+        write_json(report, args.report, trace=trace)
     else:
         write_csv(report, args.report)
-        if args.trace:
+        if trace is not None:
             write_json(report, args.report + ".trace.json", trace=trace)
 
 
@@ -69,29 +83,26 @@ def _print_report(report) -> None:
 
 
 def _play_and_report(source, source_id: str, args) -> int:
-    """Play `source` under `--algo`, then score, print and write the game:
-    against the exact optimum up to the oracle's bound, and above it
-    against the sorted-order upper bound, which makes the printed ratio a
-    valid lower bound."""
+    """Play `source` under `--algo`, then score, print and write the game
+    against the exact optimum of the instance it realized."""
     algorithm = get_algorithm(args.algo)
     trace = play(source, algorithm)
-    opt_value = None
-    opt_note = "exact"
-    if trace.n > MAX_N:
-        opt_value = sorted_order_value(realized_instance(trace))
-        opt_note = "sorted-order upper bound"
+    opt_value = sorted_order_value(realized_instance(trace))
     report = score_trace(trace, algorithm.name, source_id, opt_value=opt_value)
     _print_report(report)
-    print(f"  opt basis: {opt_note}")
-    _write_report(report, trace, args)
+    print("  opt basis: exact")
+    if args.report:
+        _write_report(report, args, trace if args.trace else None)
     return 0
 
 
 def _cmd_run(args) -> int:
+    _refuse_report_flags_without_report(args)
     return _play_and_report(load_instance(args.instance), args.instance, args)
 
 
 def _cmd_adversary(args) -> int:
+    _refuse_report_flags_without_report(args)
     if args.name == "thm2":
         if args.n is not None:
             raise ValueError("--n does not apply to thm2, whose board size follows --rounds")
@@ -105,7 +116,7 @@ def _cmd_adversary(args) -> int:
 
 
 def _cmd_opt(args) -> int:
-    result = brute_force_opt(load_instance(args.instance))
+    result = sorted_order_opt(load_instance(args.instance))
     print(f"opt={result.opt_crossings}")
     print(f"witness slots={list(result.witness.slot_of)}")
     return 0
@@ -126,6 +137,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _refuse_report_flags_without_report(args)
     algorithm = get_algorithm(args.algo)
     result = sweep(algorithm, _parse_sizes(args.n), args.trials, args.seed)
     print(
@@ -134,10 +146,7 @@ def _cmd_bench(args) -> int:
         f"violations={result.violation_count}"
     )
     if args.report:
-        if args.format == "json":
-            write_json(result, args.report)
-        else:
-            write_csv(result, args.report)
+        _write_report(result, args)
     return 0
 
 
@@ -180,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_report_flags(p):
         p.add_argument("--report", help="write a report file")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--trace", action="store_true", help="include the full trace")
+        p.add_argument("--format", choices=["csv", "json"], help="report format (default csv)")
+        p.add_argument("--trace", action="store_true", help="include the full trace in the report")
 
     p_run = sub.add_parser("run", help="play an algorithm against a stored instance")
     p_run.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
@@ -212,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--trials", type=int, default=100)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--report", help="write per-trial rows")
-    p_bench.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_bench.add_argument("--format", choices=["csv", "json"], help="report format (default csv)")
     p_bench.set_defaults(func=_cmd_bench)
 
     p_render = sub.add_parser("render", help="render a state to SVG")

@@ -120,8 +120,10 @@ def pair_type_histogram(trace: Trace) -> dict[str, int]:
 
 
 def unavoidable_lower_bound(trace: Trace) -> int:
-    """Sum of per-pair unavoidable crossings; never exceeds the optimum. A
-    pair of kind k crosses at least min(k.value) times in either order."""
+    """Sum of per-pair unavoidable crossings, which equals the optimum. A
+    pair of kind k crosses at least min(k.value) times in either order, and
+    the (a, b)-sorted order pays exactly that for every pair
+    (`offline.sorted_order_value`)."""
     histogram = pair_type_histogram(trace)
     return sum(min(kind.value) * histogram[kind.name] for kind in PairKind)
 
@@ -195,9 +197,11 @@ def score_trace(
     """Report a finished game's ratio against the exact optimum of the
     instance it realized, with its pair-kind histogram and audit findings.
 
-    `opt_value` substitutes for the oracle when the game is too large to
-    solve exactly (it must then be a valid optimum or upper bound supplied
-    by the caller; the ratio reported is relative to it).
+    `opt_value` substitutes for the default exponential oracle
+    (`offline.brute_force_opt`, which refuses n above `offline.MAX_N`).
+    `offline.sorted_order_value` of the realized instance is the exact
+    optimum at every size; the ratio reported is relative to whatever value
+    the caller supplies.
 
     The algorithm's crossing count is the last step's stored total, read
     only after the replay of `audit_trace` has checked every step's total:

@@ -27,7 +27,7 @@ from oscm.algorithms import (
     play,
 )
 from oscm.crossings import PairKind, classify_pair, total_crossings
-from oscm.harness import realized_instance, run_experiment, sweep
+from oscm.harness import realized_instance, run_experiment, sweep, unavoidable_lower_bound
 from oscm.model import (
     Instance,
     Request,
@@ -121,13 +121,16 @@ def test_criterion_3_adaptive_adversary(capsys):
             block_opt = brute_force_opt(Instance(n=5, requests=tuple(reqs))).opt_crossings
             assert block_opt == 3
 
-        trace = play(thm2_adversary(20), GREEDY)
-        inst = realized_instance(trace)
-        alg_crossings = total_crossings(trace.final_state)
-        opt_upper = sorted_order_value(inst)  # upper bound: ratio is a lower bound
-        assert alg_crossings / opt_upper >= 1.25
+        # The sorted order attains its value and the per-pair minima bound
+        # every layout from below, so their agreement makes OPT exact.
+        for rounds in (4, 20, 100):
+            trace = play(thm2_adversary(rounds), GREEDY)
+            opt = sorted_order_value(realized_instance(trace))
+            assert opt == unavoidable_lower_bound(trace) == 15 * rounds // 4 + 3
+            assert total_crossings(trace.final_state) == 5 * rounds + 3
         assert time.time() - start < 60.0
-    _report(3, "adaptive adversary: blocks 4-vs-3, 20 rounds ratio>=1.25", capsys, body)
+    _report(3, "adaptive adversary: blocks 4-vs-3; greedy ALG=5r+3, OPT=15r/4+3 at r=4,20,100",
+            capsys, body)
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscm.cli import main
+from oscm.crossings import total_crossings
 from oscm.model import (
     Instance,
     instance_from_dict,
@@ -58,6 +59,20 @@ def test_opt_prints_value_and_witness(instance_path, capsys):
     assert "witness slots=" in out
 
 
+def test_opt_is_exact_above_the_oracle_bound(tmp_path, capsys):
+    # `opt` prints the sorted-order value at every size; the exponential
+    # oracle, allowed to run this large, finds the same optimum.
+    inst = random_two_regular(12, seed=3)
+    path = tmp_path / "inst.json"
+    save_instance(inst, str(path))
+    assert main(["opt", "--instance", str(path)]) == 0
+    value, witness = capsys.readouterr().out.splitlines()
+    opt = brute_force_opt(inst, max_n=12).opt_crossings
+    slots = json.loads(witness.removeprefix("witness slots="))
+    assert value == f"opt={opt}"
+    assert total_crossings(zip(slots, inst.requests)) == opt
+
+
 @pytest.mark.parametrize(
     "inst",
     [random_two_regular(10, seed) for seed in range(5)]
@@ -65,7 +80,7 @@ def test_opt_prints_value_and_witness(instance_path, capsys):
     ids=[f"two_regular_10_seed{seed}" for seed in range(5)] + ["incomplete_12"],
 )
 def test_run_scores_instances_above_the_oracle_bound(inst, tmp_path, capsys):
-    # Above n=9 `run` scores against the sorted-order upper bound, which
+    # `run` scores against the sorted-order value at every size, which
     # equals the optimum the oracle finds when allowed to run this large.
     path = tmp_path / "inst.json"
     save_instance(inst, str(path))
@@ -73,7 +88,7 @@ def test_run_scores_instances_above_the_oracle_bound(inst, tmp_path, capsys):
     head, *lines = capsys.readouterr().out.splitlines()
     opt = brute_force_opt(inst, max_n=inst.n).opt_crossings
     assert f" opt={opt} " in head
-    assert lines[-1] == "  opt basis: sorted-order upper bound"
+    assert lines[-1] == "  opt basis: exact"
 
 
 def test_adversary_thm2(capsys):
@@ -102,6 +117,16 @@ def test_bench_csv(tmp_path, capsys):
     assert code == 0
     assert len(list(csv.DictReader(report.read_text().splitlines()))) == 8
     assert "max_ratio=" in capsys.readouterr().out
+
+
+def test_bench_json_report(tmp_path):
+    report = tmp_path / "bench.json"
+    code = main(
+        ["bench", "--algo", "first_fit", "--n", "4", "--trials", "3",
+         "--report", str(report), "--format", "json"]
+    )
+    assert code == 0
+    assert len(json.loads(report.read_text())["trials"]) == 3
 
 
 def test_render_to_file(instance_path, tmp_path):
@@ -188,9 +213,6 @@ def test_user_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: instance is missing 'n'\n"
     assert main(["adversary", "--name", "thm1", "--n", "3", "--algo", "greedy"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    save_instance(random_two_regular(10, seed=0), str(bad))
-    assert main(["opt", "--instance", str(bad)]) == 2
-    assert capsys.readouterr() == ("", "error: n=10 exceeds the exhaustive-search bound 9\n")
     for sizes, error in [
         ("9-4", "--n range '9-4' is empty: its first size exceeds its last"),
         ("-3", "--n takes a size, a list '4,6,8' or a range '4-9', got '-3'"),
@@ -211,6 +233,14 @@ def test_user_errors_exit_2(tmp_path, capsys):
          "--rounds applies only to thm2, not thm1"),
         (["adversary", "--name", "thm2", "--rounds", "0", "--algo", "greedy"],
          "need rounds >= 1, got 0"),
+        (["run", "--algo", "greedy", "--instance", str(bad), "--trace"], "--trace needs --report"),
+        (["run", "--algo", "greedy", "--instance", str(bad), "--format", "csv"],
+         "--format needs --report"),
+        (["adversary", "--name", "fig8", "--algo", "greedy", "--trace"], "--trace needs --report"),
+        (["adversary", "--name", "thm2", "--algo", "greedy", "--format", "json"],
+         "--format needs --report"),
+        (["bench", "--algo", "greedy", "--trials", "2", "--format", "json"],
+         "--format needs --report"),
     ]:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {error}\n")
@@ -265,22 +295,22 @@ def test_fuzzed_instances_load_or_are_user_errors(tmp_path_factory, document):
 # adversary-cli workload runs, and of one `oscm audit` with findings: a
 # change to a report, a finding's wording or the findings' order fails here.
 ADVERSARY_STDOUT_SHA256 = {
-    "thm2 --rounds 4 --algo barycenter": "683c060baa0829e4eb84fdd5aea87a0ce0cff90bca2f47ace47fae5359ffc0ab",
-    "thm2 --rounds 4 --algo first_fit": "4bf06a94726d7093887660cb3eda8adb6b6891bbf497271cd1bd8c31d3d06e45",
-    "thm2 --rounds 6 --algo barycenter": "d85e259908eb8d350b9954de4b924c1e7b33eee29251839a028a6bd04a86e97c",
-    "thm2 --rounds 6 --algo first_fit": "45f4b0485abdf0dbfd2a49f3c3e8859f837097a644121403222ec29edd6bf64f",
-    "thm2 --rounds 8 --algo barycenter": "d2f3c4e804f97673e1f53c68de0c78f82cb36d3061a326c35578b9447f8f6385",
-    "thm2 --rounds 8 --algo first_fit": "255036cfec65ae5a06542f207653f03e455f861e1c368c768f4b0e1f4a00247d",
-    "thm2 --rounds 10 --algo barycenter": "65ebe19a1e3d53fa2da0126596f8f87ecf9ab3282829f9b7fc7aa7308c688387",
-    "thm2 --rounds 10 --algo first_fit": "9e958586d0a538c02e416ce387d3dea838f2430613bf875cc99397c450c2e4de",
-    "thm1 --n 20 --algo barycenter": "645ca3cfc15718a8830b1cc95b6ff70e6299abc61aee887ffe89129169b48392",
-    "thm1 --n 20 --algo first_fit": "c5c63433471dcaaa69f8b9b22d1d87a8d00722dbb56d242b93b978028f42f0f8",
-    "thm1 --n 40 --algo barycenter": "68a189549c30f6547dc85b24f3dadf602a47f49b62b5e8ca4ecb8c7458c3205a",
-    "thm1 --n 40 --algo first_fit": "77e9ac39988bd4564077d57792985ebc1aa24e26874115bca1956845e8f90837",
-    "fig8 --n 20 --algo barycenter": "d7991849167110989ca5d327c23673219b3e5be6bee764c9187494071f46dc13",
-    "fig8 --n 20 --algo first_fit": "a9645907a14a54b59cd9c422c3a6a60a964344c95151a01466924d9f5447ef4c",
-    "fig8 --n 40 --algo barycenter": "8cbc14f63e78e1103405815489cdf58269de17d13cbf86d511556b9b214e65cc",
-    "fig8 --n 40 --algo first_fit": "bcb102b2ee46ab09865f876797dca53d3fd120a0d4199f46febf09871ec97931",
+    "thm2 --rounds 4 --algo barycenter": "5c08516229ab71d06e39a981d0ef8a9036c40c1020f82b086736ac7930be55fc",
+    "thm2 --rounds 4 --algo first_fit": "dc2a9afb3825544584fb769d32a03f2be9ff3fff1a518e318d5babeffcef480c",
+    "thm2 --rounds 6 --algo barycenter": "65340ae8d17f5d5096864d6e179252ce9876599339a212ceddfc62488fd095b8",
+    "thm2 --rounds 6 --algo first_fit": "831c879feda859b76fbaad09d7a240c4a89f203743c3f9ded3da415be605a249",
+    "thm2 --rounds 8 --algo barycenter": "6394b0b1666c1245b8650c376c322f3875912c5270765a86c3f22ba6abeb3a36",
+    "thm2 --rounds 8 --algo first_fit": "5d1dc10e8f7551bc337000e44388ff1814d3914f83acd37acec365bb3b48f2fb",
+    "thm2 --rounds 10 --algo barycenter": "6d37e742045f527f4239f0c05a63cc826cb212eccf8971d9eb6d45dd3cef0770",
+    "thm2 --rounds 10 --algo first_fit": "6d043ba7eb515245d48d1194e66cb5b13b33dd2ed9d9a2acc07f4598875d369c",
+    "thm1 --n 20 --algo barycenter": "b2c9225a759e94e871e81c027636aa2d1c3b7893179c3841479b9c752d0df413",
+    "thm1 --n 20 --algo first_fit": "38b0b71d470054ea20cd527263137c1176cfc21f2b9be1056c25c79881aceef1",
+    "thm1 --n 40 --algo barycenter": "d44d38f1ef15c6dc9ed863e24a54b91ff977154245e3c21991130a3597ad18c7",
+    "thm1 --n 40 --algo first_fit": "e0998a870010035db22c1e6707c9796f938956eb220cdaa33d1234e869d4b923",
+    "fig8 --n 20 --algo barycenter": "ccac267e9106161bf9a2343fba80e7880c55372f2a1a5ea3fc681ea51912096d",
+    "fig8 --n 20 --algo first_fit": "d8f4d4f118eb6c5d443764d67c40c75784739aa592d84dcef12467a97dd9e06f",
+    "fig8 --n 40 --algo barycenter": "978ca21eff19d777170d3d8e1d9d16130b41e9ad2905e193c08a458798efc479",
+    "fig8 --n 40 --algo first_fit": "4e366942daaf25e4cb0722f8cdf3be3a3930cd5ccb61d81011317e46c2d8386a",
 }
 
 

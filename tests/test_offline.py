@@ -3,12 +3,15 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oscm.algorithms import FIRST_FIT, play
 from oscm.crossings import total_crossings
+from oscm.harness import unavoidable_lower_bound
 from oscm.model import Instance, Request, random_two_regular
 from oscm.offline import (
     MAX_N,
     OracleSizeError,
     brute_force_opt,
+    sorted_order_opt,
     sorted_order_value,
 )
 
@@ -101,22 +104,47 @@ def test_sorted_order_scores_incomplete_instances():
     assert sorted_order_value(inst) == brute_force_opt(inst).opt_crossings == 3
 
 
-@given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=500))
-@settings(max_examples=60, deadline=None)
-def test_sorted_order_upper_bounds_opt(n, seed):
-    inst = random_two_regular(n, seed)
-    assert sorted_order_value(inst) >= brute_force_opt(inst).opt_crossings
+@st.composite
+def request_sequences(draw):
+    """An instance on n = 2..9 slots: a random 2-regular one, or up to n
+    requests drawn freely, with repeated requests, shared endpoints,
+    degrees above two, incomplete sequences and m = 0 or 1 among them."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    if draw(st.booleans()):
+        return random_two_regular(n, draw(st.integers(min_value=0, max_value=500)))
+    pair = st.lists(st.integers(min_value=1, max_value=n), min_size=2, max_size=2, unique=True)
+    pairs = draw(st.lists(pair, max_size=n))
+    return Instance(n=n, requests=tuple(Request(min(p), max(p)) for p in pairs))
 
 
-@given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=500))
-@settings(max_examples=40, deadline=None)
-def test_sorted_order_optimal_when_fully_comparable(n, seed):
-    # When the requests are pairwise comparable coordinate-wise, sorting them
-    # is exactly optimal; this guards both the counter and the oracle.
-    inst = random_two_regular(n, seed)
-    reqs = sorted(inst.requests)
-    comparable = all(
-        x.a <= y.a and x.b <= y.b for x, y in zip(reqs, reqs[1:])
-    )
-    if comparable:
-        assert sorted_order_value(inst) == brute_force_opt(inst).opt_crossings
+def assert_sorted_order_is_optimal(inst, max_n=MAX_N):
+    """The closed form, the exponential oracle and the sum of per-pair
+    minima agree, and the sorted-order witness attains the value."""
+    result = sorted_order_opt(inst)
+    lower = unavoidable_lower_bound(play(inst, FIRST_FIT))
+    assert result.opt_crossings == sorted_order_value(inst)
+    assert result.opt_crossings == brute_force_opt(inst, max_n=max_n).opt_crossings == lower
+    assert assignment_crossings(inst, result.witness) == result.opt_crossings
+
+
+@given(request_sequences())
+@settings(max_examples=80, deadline=None)
+def test_sorted_order_is_the_optimum(inst):
+    assert_sorted_order_is_optimal(inst)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [random_two_regular(10, seed) for seed in range(3)]
+    + [Instance(n=10, requests=tuple(Request(1 + i % 4, 5 + i % 6) for i in range(10)))],
+    ids=[f"two_regular_10_seed{seed}" for seed in range(3)] + ["general_10"],
+)
+def test_sorted_order_is_the_optimum_at_n_10(inst):
+    assert_sorted_order_is_optimal(inst, max_n=10)
+
+
+def test_sorted_order_witness_fills_slots_in_a_b_index_order():
+    inst = Instance(n=6, requests=(Request(2, 5), Request(1, 3), Request(2, 5), Request(1, 2)))
+    result = sorted_order_opt(inst)
+    assert result.witness.slot_of == (3, 2, 4, 1)
+    assert sorted_order_opt(Instance(n=3, requests=())).witness.slot_of == ()
