@@ -104,6 +104,27 @@ def test_sorted_order_scores_incomplete_instances():
     assert sorted_order_value(inst) == brute_force_opt(inst).opt_crossings == 3
 
 
+@given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=500))
+@settings(max_examples=60, deadline=None)
+def test_sorted_order_upper_bounds_opt(n, seed):
+    inst = random_two_regular(n, seed)
+    assert sorted_order_value(inst) >= brute_force_opt(inst).opt_crossings
+
+
+@given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=500))
+@settings(max_examples=40, deadline=None)
+def test_sorted_order_optimal_when_fully_comparable(n, seed):
+    # When the requests are pairwise comparable coordinate-wise, sorting them
+    # is exactly optimal; this guards both the counter and the oracle.
+    inst = random_two_regular(n, seed)
+    reqs = sorted(inst.requests)
+    comparable = all(
+        x.a <= y.a and x.b <= y.b for x, y in zip(reqs, reqs[1:])
+    )
+    if comparable:
+        assert sorted_order_value(inst) == brute_force_opt(inst).opt_crossings
+
+
 @st.composite
 def request_sequences(draw):
     """An instance on n = 2..9 slots: a random 2-regular one, or up to n
