@@ -14,17 +14,15 @@ Three constructions are played out:
 3. The duplicated-pairs family is a fixed (non-adaptive) sequence on which
    the barycenter heuristic degrades with n while greedy stays optimal.
 
-Every optimum here is the (a, b)-sorted order's value
-(`oscm.offline.sorted_order_value`), exact at every size.
+Every game is scored with `run_experiment`'s default optimum, read from the
+game's pair-kind counts and exact at every size.
 
 Run: python3 demos/02_adversary_games.py
 """
 
 from oscm.adversaries import fig8_instance, thm1_adversary, thm2_adversary
-from oscm.algorithms import BARYCENTER, GREEDY, OnlineAlgorithm, play
-from oscm.crossings import total_crossings
-from oscm.harness import realized_instance, run_experiment
-from oscm.offline import sorted_order_value
+from oscm.algorithms import BARYCENTER, GREEDY, OnlineAlgorithm
+from oscm.harness import run_experiment
 
 
 def path_adversary_demo() -> None:
@@ -36,10 +34,9 @@ def path_adversary_demo() -> None:
         return candidates[0] if candidates else 5
 
     alg = OnlineAlgorithm(name="leave_slot_5", choose=leave_slot_5)
-    trace = play(thm1_adversary(n), alg)
-    alg_crossings = total_crossings(trace.final_state)
-    opt = sorted_order_value(realized_instance(trace))
-    print(f"n={n}: {alg.name} pays {alg_crossings} crossings, optimum is {opt}")
+    report, trace = run_experiment(alg, thm1_adversary(n))
+    print(f"n={n}: {alg.name} pays {report.alg_crossings} crossings, "
+          f"optimum is {report.opt_crossings}")
     print(f"final request (aimed at the hole): "
           f"({trace.steps[-1].request.a},{trace.steps[-1].request.b})")
     print()
@@ -48,12 +45,9 @@ def path_adversary_demo() -> None:
 def adaptive_adversary_demo() -> None:
     print("== adaptive adversary vs greedy ==")
     for rounds in (1, 4, 8):
-        trace = play(thm2_adversary(rounds), GREEDY)
-        inst = realized_instance(trace)
-        alg_crossings = total_crossings(trace.final_state)
-        opt = sorted_order_value(inst)
-        print(f"rounds={rounds:2} n={inst.n:3}: greedy={alg_crossings:4} "
-              f"opt={opt:4} ratio={alg_crossings / opt:.3f}")
+        report, _ = run_experiment(GREEDY, thm2_adversary(rounds))
+        print(f"rounds={rounds:2} n={report.n:3}: greedy={report.alg_crossings:4} "
+              f"opt={report.opt_crossings:4} ratio={report.ratio:.3f}")
     print()
 
 
@@ -61,9 +55,8 @@ def duplicated_pairs_demo() -> None:
     print("== duplicated-pairs family ==")
     for n in (4, 6, 8):
         inst = fig8_instance(n)
-        opt = sorted_order_value(inst)
-        bary, _ = run_experiment(BARYCENTER, inst, source_id=f"dup({n})", opt_value=opt)
-        greedy, _ = run_experiment(GREEDY, inst, source_id=f"dup({n})", opt_value=opt)
+        bary, _ = run_experiment(BARYCENTER, inst, source_id=f"dup({n})")
+        greedy, _ = run_experiment(GREEDY, inst, source_id=f"dup({n})")
         print(f"n={n}: opt={bary.opt_crossings} "
               f"barycenter={bary.alg_crossings} (ratio {bary.ratio:.2f})  "
               f"greedy={greedy.alg_crossings} (ratio {greedy.ratio:.2f})")

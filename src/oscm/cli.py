@@ -1,8 +1,10 @@
 """Command-line interface: play games, run adversaries, print an
 instance's optimum with a witness, audit traces, benchmark sweeps, and
-render states to SVG. `run`, `adversary` and `opt` read the optimum from
-the sorted-order closed form (`offline.sorted_order_value`), exact at every
-size; `bench` scores against `score_trace`'s default oracle.
+render states to SVG. `run` and `adversary` score with `score_trace`'s
+default, the optimum the game's pair-kind counts give, and `opt` prints the
+sorted-order optimum and its witness (`offline.sorted_order_opt`), all
+exact at every size. `bench` scores against the exponential oracle
+(`harness.sweep`), so it refuses sizes above `offline.MAX_N`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .adversaries import fig8_instance, thm1_adversary, thm2_adversary
 from .algorithms import ALGORITHMS, get_algorithm, play
 from .harness import (
     audit_trace,
-    realized_instance,
     replayed_crossings,
     score_trace,
     sweep,
@@ -25,7 +26,7 @@ from .harness import (
     write_json,
 )
 from .model import empty_state, load_instance
-from .offline import sorted_order_opt, sorted_order_value
+from .offline import sorted_order_opt
 from .render import RenderSpec, render_svg
 
 
@@ -87,8 +88,7 @@ def _play_and_report(source, source_id: str, args) -> int:
     against the exact optimum of the instance it realized."""
     algorithm = get_algorithm(args.algo)
     trace = play(source, algorithm)
-    opt_value = sorted_order_value(realized_instance(trace))
-    report = score_trace(trace, algorithm.name, source_id, opt_value=opt_value)
+    report = score_trace(trace, algorithm.name, source_id)
     _print_report(report)
     print("  opt basis: exact")
     if args.report:

@@ -1,7 +1,9 @@
 """Experiment runner: plays algorithms against instances or adaptive
-adversaries, compares against the exact oracle, audits traces for the
-invariants the greedy algorithm is supposed to maintain, and aggregates
-sweeps into CSV/JSON reports.
+adversaries, scores each game against the exact optimum its pair-kind
+counts give, audits traces for the invariants the greedy algorithm is
+supposed to maintain, and aggregates sweeps into CSV/JSON reports. `sweep`
+alone scores against the exponential oracle (`offline.brute_force_opt`),
+so it refuses sizes above `offline.MAX_N`.
 
 Greedy does not always maintain them: on random 2-regular games, 5 of 400
 traces at n=10 have a double-cross finding and 1 of 50 at n=80 a gap
@@ -18,13 +20,13 @@ import math
 import random
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from .algorithms import OnlineAlgorithm, Trace, play
 from .crossings import PairKind
 from .model import Instance, RegularityClass, validate_instance
-from .offline import brute_force_opt
+from .offline import MAX_N, OracleSizeError, brute_force_opt
 from .replay import ReplayBoard
 
 
@@ -119,13 +121,17 @@ def pair_type_histogram(trace: Trace) -> dict[str, int]:
     return {kind.name: counts[kind] for kind in PairKind}
 
 
+def _histogram_opt(histogram: dict[str, int]) -> int:
+    """Each pair's minimum crossings, summed over a pair-kind histogram."""
+    return sum(min(kind.value) * histogram[kind.name] for kind in PairKind)
+
+
 def unavoidable_lower_bound(trace: Trace) -> int:
     """Sum of per-pair unavoidable crossings, which equals the optimum. A
     pair of kind k crosses at least min(k.value) times in either order, and
     the (a, b)-sorted order pays exactly that for every pair
     (`offline.sorted_order_value`)."""
-    histogram = pair_type_histogram(trace)
-    return sum(min(kind.value) * histogram[kind.name] for kind in PairKind)
+    return _histogram_opt(pair_type_histogram(trace))
 
 
 def audit_trace(trace: Trace) -> list[str]:
@@ -174,17 +180,9 @@ def replayed_crossings(trace: Trace) -> int:
 
 def realized_instance(trace: Trace) -> Instance:
     """The instance actually played, classified 2-regular when it qualifies."""
-    inst = Instance(
-        n=trace.n,
-        requests=tuple(trace.requests),
-        regularity_class=RegularityClass.TWO_REGULAR,
-    )
+    inst = Instance(trace.n, trace.requests, RegularityClass.TWO_REGULAR)
     if validate_instance(inst):
-        inst = Instance(
-            n=trace.n,
-            requests=inst.requests,
-            regularity_class=RegularityClass.GENERAL,
-        )
+        inst = replace(inst, regularity_class=RegularityClass.GENERAL)
     return inst
 
 
@@ -197,18 +195,19 @@ def score_trace(
     """Report a finished game's ratio against the exact optimum of the
     instance it realized, with its pair-kind histogram and audit findings.
 
-    `opt_value` substitutes for the default exponential oracle
-    (`offline.brute_force_opt`, which refuses n above `offline.MAX_N`).
-    `offline.sorted_order_value` of the realized instance is the exact
-    optimum at every size; the ratio reported is relative to whatever value
-    the caller supplies.
+    By default the optimum is read from the histogram, one count for both:
+    each pair's minimum crossings summed (`unavoidable_lower_bound`), which
+    the (a, b)-sorted order attains at every size
+    (`offline.sorted_order_value`). A caller's `opt_value` replaces it, and
+    the ratio reported is relative to whatever value the caller supplies.
 
     The algorithm's crossing count is the last step's stored total, read
     only after the replay of `audit_trace` has checked every step's total:
     a stale total raises `ReplayMismatchError` instead of being reported.
     """
+    histogram = pair_type_histogram(trace)
     if opt_value is None:
-        opt_value = brute_force_opt(realized_instance(trace)).opt_crossings
+        opt_value = _histogram_opt(histogram)
     findings = audit_trace(trace)
     alg_crossings = replayed_crossings(trace)
     ratio, defined = _competitive_ratio(alg_crossings, opt_value)
@@ -220,7 +219,7 @@ def score_trace(
         opt_crossings=opt_value,
         ratio=ratio,
         ratio_defined=defined,
-        pair_type_histogram=pair_type_histogram(trace),
+        pair_type_histogram=histogram,
         audit_findings=tuple(findings),
     )
 
@@ -238,7 +237,9 @@ def run_experiment(
 
 
 def sweep(algorithm: OnlineAlgorithm, ns: Sequence[int], trials: int, seed: int) -> SweepResult:
-    """Play `trials` random 2-regular games with sizes drawn from `ns`.
+    """Play `trials` random 2-regular games with sizes drawn from `ns`,
+    each scored against the exponential oracle (`offline.brute_force_opt`);
+    a size above `offline.MAX_N` raises `OracleSizeError` before any game.
 
     Fully deterministic for a fixed seed: the master RNG fixes each trial's
     size and instance seed up front, so trials could run concurrently and
@@ -250,6 +251,8 @@ def sweep(algorithm: OnlineAlgorithm, ns: Sequence[int], trials: int, seed: int)
         raise ValueError(f"need trials >= 1, got {trials}")
     if not ns:
         raise ValueError("need at least one size in ns")
+    if max(ns) > MAX_N:
+        raise OracleSizeError(f"n={max(ns)} exceeds the exhaustive-search bound {MAX_N}")
     rng = random.Random(seed)
     plan = [(rng.choice(list(ns)), rng.randrange(2**32)) for _ in range(trials)]
     records = []
@@ -258,9 +261,9 @@ def sweep(algorithm: OnlineAlgorithm, ns: Sequence[int], trials: int, seed: int)
     ratios = []
     for index, (n, inst_seed) in enumerate(plan):
         inst = random_two_regular(n, inst_seed)
-        report, _ = run_experiment(
-            algorithm, inst, source_id=f"random_two_regular(n={n}, seed={inst_seed})"
-        )
+        source_id = f"random_two_regular(n={n}, seed={inst_seed})"
+        opt_value = brute_force_opt(inst).opt_crossings
+        report, _ = run_experiment(algorithm, inst, source_id, opt_value)
         records.append(TrialRecord(index=index, instance_seed=inst_seed, report=report))
         for key, count in report.pair_type_histogram.items():
             histogram[key] += count

@@ -119,6 +119,13 @@ def test_bench_csv(tmp_path, capsys):
     assert "max_ratio=" in capsys.readouterr().out
 
 
+def test_bench_refuses_sizes_above_the_oracle_bound_at_every_seed(capsys):
+    for seed in ("0", "1", "2", "3"):
+        argv = ["bench", "--algo", "greedy", "--n", "4-10", "--trials", "1", "--seed", seed]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: n=10 exceeds the exhaustive-search bound 9\n")
+
+
 def test_bench_json_report(tmp_path):
     report = tmp_path / "bench.json"
     code = main(

@@ -2,10 +2,12 @@ import csv
 import json
 import math
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oscm.adversaries import thm1_adversary
 from oscm.algorithms import ALGORITHMS, FIRST_FIT, GREEDY, play
 from oscm.crossings import total_crossings
 from oscm.harness import (
@@ -21,16 +23,25 @@ from oscm.harness import (
     write_json,
 )
 from oscm.model import Instance, Request, random_two_regular
-from oscm.offline import brute_force_opt
+from oscm.offline import MAX_N, OracleSizeError, brute_force_opt, sorted_order_value
 
 
 def test_run_experiment_report_consistency():
-    inst = random_two_regular(7, seed=5)
-    report, trace = run_experiment(GREEDY, inst, source_id="t")
-    assert report.alg_crossings == total_crossings(trace.final_state)
-    assert report.opt_crossings <= report.alg_crossings
-    assert report.ratio >= 1.0
-    assert sum(report.pair_type_histogram.values()) == 7 * 6 // 2
+    # The default optimum is exact at every size: it equals the sorted-order
+    # value of the requests played, and the exponential oracle where that
+    # runs. The thm1 game repeats a request, so one vertex has degree 3.
+    sources = [random_two_regular(n, seed=5) for n in (7, 10, 16, 40)]
+    for source, algorithm in product([*sources, thm1_adversary(8)], ALGORITHMS.values()):
+        report, trace = run_experiment(algorithm, source, source_id="t")
+        inst = realized_instance(trace)
+        assert report.opt_crossings == sorted_order_value(inst)
+        if inst.n <= MAX_N:
+            assert report.opt_crossings == brute_force_opt(inst).opt_crossings
+        assert report.alg_crossings == total_crossings(trace.final_state)
+        assert report.opt_crossings <= report.alg_crossings
+        assert report.ratio >= 1.0
+        m = len(inst.requests)
+        assert sum(report.pair_type_histogram.values()) == m * (m - 1) // 2
 
 
 def test_duplicated_disjoint_pairs_report():
@@ -126,6 +137,11 @@ def test_sweep_deterministic_and_validated():
         sweep(GREEDY, [4], trials=0, seed=0)
     with pytest.raises(ValueError, match="^need at least one size in ns$"):
         sweep(GREEDY, [], trials=3, seed=0)
+    # The oracle's size bound is checked before any game, so no seed can
+    # draw only sizes below it and pass.
+    for seed in range(6):
+        with pytest.raises(OracleSizeError, match="^n=10 exceeds the exhaustive-search bound 9$"):
+            sweep(GREEDY, range(4, 11), trials=1, seed=seed)
 
 
 def test_report_files(tmp_path):
