@@ -5,7 +5,7 @@ instances, and the static family on which the barycenter rule degrades.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .model import Instance, RegularityClass, Request, make_request
 from .replay import ReplayBoard
@@ -42,7 +42,18 @@ def endgame_fill(deficits: Mapping[int, int]) -> list[Request]:
     return out
 
 
-class Thm1Adversary:
+class _RequestScript:
+    """A request source written as one generator, `_script`, that yields
+    the requests in the order the construction states them. Each
+    `next_request` records the live board in `self._board`, where the
+    script reads it once it resumes."""
+
+    def next_request(self, board: ReplayBoard) -> Optional[Request]:
+        self._board = board
+        return next(self._requests, None)
+
+
+class Thm1Adversary(_RequestScript):
     """Feeds a path of consecutive-pair requests, then duplicates the pair
     nearest the far end from wherever the single free slot was left.
 
@@ -56,23 +67,20 @@ class Thm1Adversary:
         if n < 4:
             raise ValueError(f"need n >= 4, got {n}")
         self.n = n
-        self._emitted = 0
+        self._requests = self._script()
 
-    def next_request(self, board: ReplayBoard) -> Optional[Request]:
-        if self._emitted < self.n - 1:
-            self._emitted += 1
-            return make_request(self._emitted, self._emitted + 1)
-        if self._emitted == self.n - 1:
-            free = board.free
-            if len(free) != 1:
-                raise ProtocolError(f"expected one free slot, found {free}")
-            self._emitted += 1
-            # Attack the side far from the hole: a left hole gets the
-            # rightmost pair again, and vice versa.
-            if free[0] <= (self.n + 1) // 2:
-                return make_request(self.n - 1, self.n)
-            return make_request(1, 2)
-        return None
+    def _script(self) -> Iterator[Request]:
+        for v in range(1, self.n):
+            yield make_request(v, v + 1)
+        free = self._board.free
+        if len(free) != 1:
+            raise ProtocolError(f"expected one free slot, found {free}")
+        # Attack the side far from the hole: a left hole gets the
+        # rightmost pair again, and vice versa.
+        if free[0] <= (self.n + 1) // 2:
+            yield make_request(self.n - 1, self.n)
+        else:
+            yield make_request(1, 2)
 
 
 CASE1_OFFSETS = ((1, 2), (2, 4), (1, 3))
@@ -85,7 +93,7 @@ def thm2_board_size(rounds: int) -> int:
     return 5 * rounds + ENDGAME_RESERVE
 
 
-class Thm2Adversary:
+class Thm2Adversary(_RequestScript):
     """Adaptive 2-regular strategy: repeatedly probes the five leftmost free
     slots and edge-free vertices with one request, branches on where the
     algorithm placed it, and finishes with a chain once at most six free
@@ -96,54 +104,30 @@ class Thm2Adversary:
     def __init__(self, rounds: int):
         if rounds < 1:
             raise ValueError(f"need rounds >= 1, got {rounds}")
-        self.rounds = rounds
         self.n = thm2_board_size(rounds)
-        self._pending: list[Request] = []
-        # The probe's five local slots and vertices, and the free-slot count
-        # when it was emitted.
-        self._probe: Optional[tuple[list[int], list[int], int]] = None
-        self._endgame_done = False
+        self._requests = self._script()
 
-    def _edge_free(self, board: ReplayBoard) -> list[int]:
-        deg = board.degree
-        return [v for v in range(1, self.n + 1) if deg[v] == 0]
-
-    def _resolve_branch(self, board: ReplayBoard) -> None:
-        slots, verts, free_count = self._probe
-        self._probe = None
-        placements = free_count - len(board.free)
-        if placements != 1:
-            raise ProtocolError(f"expected one placement since the probe, saw {placements}")
-        # The local slots are the leftmost free ones, so the probe went to
-        # one of the first three exactly when one of them is taken.
-        case1 = not all(board.is_free(s) for s in slots[:3])
-        offsets = CASE1_OFFSETS if case1 else CASE2_OFFSETS
-        self._pending = [make_request(verts[i - 1], verts[j - 1]) for i, j in offsets]
-
-    def next_request(self, board: ReplayBoard) -> Optional[Request]:
-        if self._probe is not None:
-            self._resolve_branch(board)
-        if self._pending:
-            return self._pending.pop(0)
-        free = board.free
-        if not free or self._endgame_done:
-            return None
-        if len(free) > ENDGAME_RESERVE:
-            slots = free[:5]
-            verts = self._edge_free(board)[:5]
+    def _script(self) -> Iterator[Request]:
+        while len(self._board.free) > ENDGAME_RESERVE:
+            slots, free_count = self._board.free[:5], len(self._board.free)
+            deg = self._board.degree
+            verts = [v for v in range(1, self.n + 1) if deg[v] == 0][:5]
             if len(verts) < 5:
                 raise ProtocolError("fewer than five edge-free vertices mid-game")
-            self._probe = (slots, verts, len(free))
-            return make_request(verts[PROBE_OFFSET[0] - 1], verts[PROBE_OFFSET[1] - 1])
-        deg = board.degree
-        deficits = {v: 2 - deg[v] for v in range(1, self.n + 1) if deg[v] < 2}
-        self._pending = endgame_fill(deficits)
-        if len(self._pending) != len(free):
-            raise ProtocolError(
-                f"endgame produced {len(self._pending)} requests for {len(free)} slots"
-            )
-        self._endgame_done = True
-        return self.next_request(board)
+            yield make_request(verts[PROBE_OFFSET[0] - 1], verts[PROBE_OFFSET[1] - 1])
+            placements = free_count - len(self._board.free)
+            if placements != 1:
+                raise ProtocolError(f"expected one placement since the probe, saw {placements}")
+            # The local slots are the leftmost free ones, so the probe went
+            # to one of the first three exactly when one of them is taken.
+            case1 = not all(self._board.is_free(s) for s in slots[:3])
+            for i, j in CASE1_OFFSETS if case1 else CASE2_OFFSETS:
+                yield make_request(verts[i - 1], verts[j - 1])
+        free, deg = self._board.free, self._board.degree
+        fill = endgame_fill({v: 2 - deg[v] for v in range(1, self.n + 1) if deg[v] < 2})
+        if len(fill) != len(free):
+            raise ProtocolError(f"endgame produced {len(fill)} requests for {len(free)} slots")
+        yield from fill
 
 
 def thm1_adversary(n: int) -> Thm1Adversary:

@@ -46,6 +46,10 @@ class Trace:
 
 
 class RequestSource(Protocol):
+    """An adaptive request source on an n-slot board. `play` asks it once
+    per step with the live board, and it returns the next request or None
+    when the game is done. A source plays one game."""
+
     n: int
 
     def next_request(self, board: ReplayBoard) -> Optional[Request]: ...
@@ -164,35 +168,19 @@ def get_algorithm(name: str) -> OnlineAlgorithm:
         raise KeyError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
 
 
-class _InstanceSource:
-    """Adapts a fixed Instance to the adaptive request-source protocol."""
-
-    def __init__(self, instance: Instance):
-        self.n = instance.n
-        self._requests = list(instance.requests)
-        self._pos = 0
-
-    def next_request(self, board: ReplayBoard) -> Optional[Request]:
-        if self._pos >= len(self._requests):
-            return None
-        req = self._requests[self._pos]
-        self._pos += 1
-        return req
-
-
 def play(source: Union[Instance, RequestSource], algorithm: OnlineAlgorithm) -> Trace:
     """Run a full online game on one `ReplayBoard`, recording each step's
     request, chosen slot and running edge-edge crossing total. The source
     and the algorithm see the live board. A request with a vertex above n
     raises ValueError before the algorithm is asked for a slot."""
     if isinstance(source, Instance):
-        source = _InstanceSource(source)
+        requests = iter(source.requests)
+        next_request = lambda board: next(requests, None)
+    else:
+        next_request = source.next_request
     board = ReplayBoard(source.n)
     steps: list[TraceStep] = []
-    while True:
-        request = source.next_request(board)
-        if request is None:
-            break
+    while (request := next_request(board)) is not None:
         if request.b > board.n:
             raise ValueError(
                 f"step {len(steps) + 1}: request ({request.a},{request.b}) "

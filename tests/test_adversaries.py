@@ -53,6 +53,8 @@ def test_endgame_fill_empty_and_infeasible():
     assert endgame_fill({}) == []
     with pytest.raises(InfeasibleFillError):
         endgame_fill({4: 2})
+    with pytest.raises(InfeasibleFillError, match=r"^deficit above two in \{1: 3\}$"):
+        endgame_fill({1: 3})
 
 
 @given(st.dictionaries(st.integers(1, 20), st.integers(1, 2), min_size=2, max_size=8))
@@ -88,6 +90,36 @@ def test_thm1_targets_far_side_of_any_hole(hole):
 def test_thm1_instance_opt_is_one():
     trace = play(thm1_adversary(10), leave_slot_algorithm(5))
     assert brute_force_opt(realized_instance(trace), max_n=10).opt_crossings == 1
+
+
+def test_thm1_refuses_more_than_one_free_slot_before_the_duplicate():
+    # Asked four times with nothing placed, the path's three requests
+    # leave all four slots free when the duplicate is due.
+    adversary = thm1_adversary(4)
+    board = ReplayBoard(4)
+    for _ in range(3):
+        adversary.next_request(board)
+    with pytest.raises(ProtocolError, match=r"^expected one free slot, found \[1, 2, 3, 4\]$"):
+        adversary.next_request(board)
+
+
+@pytest.mark.parametrize(
+    "placed, message",
+    [
+        # Seven free slots call for a probe, but only 9..11 are edge-free.
+        ([(1, 2), (3, 4), (5, 6), (7, 8)], "fewer than five edge-free vertices mid-game"),
+        # Six free slots start the endgame, but vertex 1's surplus leaves
+        # deficits that need seven requests.
+        ([(1, 2), (1, 3), (1, 4), (1, 5), (6, 7)], "endgame produced 7 requests for 6 slots"),
+    ],
+)
+def test_thm2_refuses_a_board_it_cannot_finish(placed, message):
+    adversary = thm2_adversary(1)
+    board = ReplayBoard(adversary.n)
+    for slot, (a, b) in enumerate(placed, start=1):
+        board.place(Request(a, b), slot)
+    with pytest.raises(ProtocolError, match=f"^{message}$"):
+        adversary.next_request(board)
 
 
 def test_thm2_board_size():

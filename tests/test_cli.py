@@ -150,6 +150,15 @@ def test_render_empty_board_stdout(capsys):
     assert "<svg " in capsys.readouterr().out
 
 
+def test_render_instance_without_algo_draws_its_empty_board(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    save_instance(random_two_regular(4, seed=0), str(path))
+    assert main(["render", "--instance", str(path)]) == 0
+    from_instance = capsys.readouterr().out
+    assert main(["render", "--n", "4"]) == 0
+    assert from_instance == capsys.readouterr().out
+
+
 def test_render_requires_source(capsys):
     assert main(["render"]) == 2
     assert capsys.readouterr() == ("", "error: render needs --instance or --n\n")
