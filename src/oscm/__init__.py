@@ -2,13 +2,14 @@
 
 Library layout:
 
-- :mod:`oscm.model` — instances, requests, placement states.
+- :mod:`oscm.model` — instances, requests, and placement states as plain records.
 - :mod:`oscm.crossings` — exact crossing counts and the pair taxonomy.
-- :mod:`oscm.propagation` — propagation arrows and state auditors.
+- :mod:`oscm.propagation` — propagation arrows and state auditors, read off a board.
 - :mod:`oscm.algorithms` — online algorithms and the game loop.
 - :mod:`oscm.offline` — the offline optimum: sorted-order closed form and exponential oracle.
 - :mod:`oscm.adversaries` — adversarial request sources.
-- :mod:`oscm.replay` — the one board that games are played and replayed on.
+- :mod:`oscm.replay` — the one layout engine: the board that games are played, replayed,
+  audited and rendered on.
 - :mod:`oscm.harness` — experiments, audits, sweeps, reports.
 - :mod:`oscm.render` — deterministic SVG rendering.
 """
@@ -29,7 +30,6 @@ from .crossings import (
     PairCrossKind,
     PairKind,
     classify_pair,
-    edges_cross,
     pair_crossings,
     total_crossings,
 )
@@ -37,7 +37,6 @@ from .harness import (
     RatioReport,
     SweepResult,
     audit_trace,
-    realized_instance,
     run_experiment,
     sweep,
 )
@@ -49,7 +48,6 @@ from .model import (
     Request,
     apply,
     empty_state,
-    free_slots,
     load_instance,
     make_request,
     random_two_regular,

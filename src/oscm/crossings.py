@@ -43,16 +43,6 @@ class PairCrossKind:
         return abs(self.placed_count - self.swapped_count)
 
 
-def edges_cross(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    """True iff the straight edges (vertex, slot) strictly cross.
-
-    Edges sharing a vertex or a slot meet only at that endpoint and do not
-    count as crossing.
-    """
-    (v1, s1), (v2, s2) = e1, e2
-    return (v1 - v2) * (s1 - s2) < 0
-
-
 def pair_crossings(r1: Request, s1: int, r2: Request, s2: int) -> int:
     """Number of crossing edge pairs between two placed requests: the
     `order_counts` entry for their slot order."""

@@ -20,12 +20,12 @@ import math
 import random
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .algorithms import OnlineAlgorithm, Trace, play
 from .crossings import PairKind
-from .model import Instance, RegularityClass, validate_instance
+from .model import random_two_regular
 from .offline import MAX_N, OracleSizeError, brute_force_opt
 from .replay import ReplayBoard
 
@@ -122,16 +122,11 @@ def pair_type_histogram(trace: Trace) -> dict[str, int]:
 
 
 def _histogram_opt(histogram: dict[str, int]) -> int:
-    """Each pair's minimum crossings, summed over a pair-kind histogram."""
+    """Each pair's minimum crossings, summed over a pair-kind histogram:
+    the optimum. A pair of kind k crosses at least min(k.value) times in
+    either order, and the (a, b)-sorted order pays exactly that for every
+    pair (`offline.sorted_order_value`)."""
     return sum(min(kind.value) * histogram[kind.name] for kind in PairKind)
-
-
-def unavoidable_lower_bound(trace: Trace) -> int:
-    """Sum of per-pair unavoidable crossings, which equals the optimum. A
-    pair of kind k crosses at least min(k.value) times in either order, and
-    the (a, b)-sorted order pays exactly that for every pair
-    (`offline.sorted_order_value`)."""
-    return _histogram_opt(pair_type_histogram(trace))
 
 
 def audit_trace(trace: Trace) -> list[str]:
@@ -178,14 +173,6 @@ def replayed_crossings(trace: Trace) -> int:
     return trace.steps[-1].edge_edge_total if trace.steps else 0
 
 
-def realized_instance(trace: Trace) -> Instance:
-    """The instance actually played, classified 2-regular when it qualifies."""
-    inst = Instance(trace.n, trace.requests, RegularityClass.TWO_REGULAR)
-    if validate_instance(inst):
-        inst = replace(inst, regularity_class=RegularityClass.GENERAL)
-    return inst
-
-
 def score_trace(
     trace: Trace,
     alg_name: str,
@@ -196,10 +183,9 @@ def score_trace(
     instance it realized, with its pair-kind histogram and audit findings.
 
     By default the optimum is read from the histogram, one count for both:
-    each pair's minimum crossings summed (`unavoidable_lower_bound`), which
-    the (a, b)-sorted order attains at every size
-    (`offline.sorted_order_value`). A caller's `opt_value` replaces it, and
-    the ratio reported is relative to whatever value the caller supplies.
+    each pair's minimum crossings summed (`_histogram_opt`). A caller's
+    `opt_value` replaces it, and the ratio reported is relative to whatever
+    value the caller supplies.
 
     The algorithm's crossing count is the last step's stored total, read
     only after the replay of `audit_trace` has checked every step's total:
@@ -245,8 +231,6 @@ def sweep(algorithm: OnlineAlgorithm, ns: Sequence[int], trials: int, seed: int)
     size and instance seed up front, so trials could run concurrently and
     fold back in index order without changing the result.
     """
-    from .model import random_two_regular
-
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if not ns:

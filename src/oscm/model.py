@@ -60,10 +60,6 @@ class Instance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "requests", tuple(self.requests))
 
-    @property
-    def is_complete(self) -> bool:
-        return len(self.requests) == self.n
-
 
 def validate_instance(inst: Instance) -> list[str]:
     """Return a list of invariant violations; an empty list means the
@@ -94,35 +90,14 @@ def validate_instance(inst: Instance) -> list[str]:
 
 @dataclass(frozen=True)
 class PlacementState:
-    """A partial assignment of requests to slots during an online game."""
+    """A partial assignment of requests to slots during an online game: a
+    plain record, whose layout is read on a `replay.ReplayBoard`."""
 
     n: int
     placed: Mapping[int, Request] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "placed", dict(self.placed))
-
-    def degrees(self) -> list[int]:
-        """Per-vertex request count, index 0 unused."""
-        deg = [0] * (self.n + 1)
-        for req in self.placed.values():
-            deg[req.a] += 1
-            deg[req.b] += 1
-        return deg
-
-    def is_free(self, slot: int) -> bool:
-        return 1 <= slot <= self.n and slot not in self.placed
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All placed edges as (vertex, slot) pairs."""
-        out = []
-        for slot, req in self.placed.items():
-            out.append((req.a, slot))
-            out.append((req.b, slot))
-        return out
-
-    def items(self) -> list[tuple[int, Request]]:
-        return sorted(self.placed.items())
 
 
 @dataclass(frozen=True)
@@ -151,16 +126,11 @@ def unavailable_slot_error(n: int, slot: int) -> ValueError:
 
 def apply(state: PlacementState, request: Request, slot: int) -> PlacementState:
     """Record `request` at `slot`, returning the new state."""
-    if not state.is_free(slot):
+    if not 1 <= slot <= state.n or slot in state.placed:
         raise unavailable_slot_error(state.n, slot)
     placed = dict(state.placed)
     placed[slot] = request
     return PlacementState(n=state.n, placed=placed)
-
-
-def free_slots(state: PlacementState) -> list[int]:
-    """Slots without a placed request, ascending."""
-    return [s for s in range(1, state.n + 1) if s not in state.placed]
 
 
 def random_two_regular(n: int, seed: int) -> Instance:
@@ -208,12 +178,15 @@ def _request_from_pair(pair, index: int) -> Request:
 def instance_from_dict(data: dict) -> Instance:
     """Build and validate an instance from its JSON form. Values are taken
     as they are: a float, bool or string where an integer belongs, or a
-    request that is not a two-element list, raises ValueError."""
+    request that is not a two-element list, raises ValueError. An optional
+    "k" must be the integer 2, as every request is a pair."""
     if not isinstance(data, dict):
         raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
     missing = [key for key in ("n", "requests") if key not in data]
     if missing:
         raise ValueError("instance is missing " + " and ".join(map(repr, missing)))
+    if "k" in data and _strict_int(data["k"], "k") != 2:
+        raise ValueError(f"k must be 2, as requests are pairs, got {data['k']}")
     requests = data["requests"]
     if not isinstance(requests, (list, tuple)):
         raise ValueError(f"requests must be a list of pairs, got {requests!r}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import PlacementState
-from .propagation import DegreeOverflowError, arrows
+from .replay import ReplayBoard
 
 _STYLE = (
     ".slot{fill:white;stroke:black;stroke-width:1.5}"
@@ -36,7 +36,11 @@ def _fmt(x: float) -> str:
 
 
 def render_svg(state: PlacementState, spec: RenderSpec = RenderSpec()) -> str:
-    """Render a state as an SVG document string."""
+    """Render a state as an SVG document string, read from one
+    `ReplayBoard`: a slot outside 1..n raises SlotRangeError and a vertex
+    above n IndexError, whether or not arrows are shown. Where a vertex
+    exceeds degree two the arrows are undefined, and none are drawn."""
+    board = ReplayBoard.of(state)
     n = state.n
     margin = 40.0
     step = (WIDTH - 2 * margin) / max(n - 1, 1)
@@ -45,7 +49,7 @@ def render_svg(state: PlacementState, spec: RenderSpec = RenderSpec()) -> str:
     x = lambda i: margin + (i - 1) * step
 
     if spec.highlight is not None:
-        items = state.items()
+        items = board.by_slot
         for idx in spec.highlight:
             if not (0 <= idx < len(items)):
                 raise ValueError(f"highlight index {idx} has no placed request")
@@ -61,18 +65,14 @@ def render_svg(state: PlacementState, spec: RenderSpec = RenderSpec()) -> str:
         'orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="gray"/></marker></defs>',
     ]
 
-    if spec.show_arrows:
-        try:
-            arrow_set = arrows(state)
-        except DegreeOverflowError:
-            arrow_set = ()
-        for v, s in arrow_set:
+    if spec.show_arrows and board.lv is not None:
+        for v, s in board.arrows():
             parts.append(
                 f'<line class="arrow" x1="{_fmt(x(v))}" y1="{_fmt(bottom_y - 8)}" '
                 f'x2="{_fmt(x(s))}" y2="{_fmt(top_y + 8)}" marker-end="url(#head)"/>'
             )
 
-    for slot, req in state.items():
+    for slot, req in board.by_slot:
         cls = "edge highlight" if slot in highlighted_slots else "edge"
         for v in req.vertices:
             parts.append(
@@ -82,7 +82,7 @@ def render_svg(state: PlacementState, spec: RenderSpec = RenderSpec()) -> str:
 
     half = 7.0
     for s in range(1, n + 1):
-        cls = "slot" if state.is_free(s) else "slot fulfilled"
+        cls = "slot" if board.is_free(s) else "slot fulfilled"
         parts.append(
             f'<rect class="{cls}" x="{_fmt(x(s) - half)}" y="{_fmt(top_y - half)}" '
             f'width="{_fmt(2 * half)}" height="{_fmt(2 * half)}"/>'

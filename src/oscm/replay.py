@@ -1,7 +1,7 @@
 """The library's one layout engine: a mutable board that `algorithms.play`
 drives, that `harness` replays a trace on for the audits and the per-step
-edge-arrow counts, and that `propagation` loads a single state on for its
-arrows and per-state audits.
+edge-arrow counts, and that `propagation` and `render` load a single
+state on for its arrows, per-state audits and drawing.
 
 `ReplayBoard` edits sorted lists in place as each request is placed, so a
 step reads the board's lists instead of a new `PlacementState` and a new
@@ -134,7 +134,7 @@ class ReplayBoard:
         """A board holding the placements of `state`, placed in slot order:
         a slot outside 1..n raises SlotRangeError, as placing there does."""
         board = cls(state.n)
-        for slot, request in state.items():
+        for slot, request in sorted(state.placed.items()):
             board.place(request, slot)
         return board
 

@@ -4,21 +4,79 @@ crossings with full `segment_crossings` sweeps, where the library reads one
 `ReplayBoard`, count a pair's crossings edge by edge, where the library
 reads four endpoint comparisons, or count a placement's crossings against
 every placed request, where the board bisects its sorted vertex ends. Also
-the helpers that compare outcomes.
+the readings of a plain `PlacementState` record (its free slots, degrees,
+edges and slot-ordered items) that the library takes off a board, the
+instance a trace realized with its per-pair optimum, and the helpers that
+compare outcomes.
 """
 
 from bisect import bisect_left, bisect_right, insort
 
-from oscm.crossings import edges_cross
-from oscm.model import PlacementState, apply, free_slots
+from oscm.harness import _histogram_opt, pair_type_histogram
+from oscm.model import Instance, PlacementState, RegularityClass, apply, validate_instance
 from oscm.propagation import degree_overflow_error
+
+
+def edges_cross(e1, e2) -> bool:
+    """True iff the straight edges (vertex, slot) strictly cross.
+
+    Edges sharing a vertex or a slot meet only at that endpoint and do not
+    count as crossing.
+    """
+    (v1, s1), (v2, s2) = e1, e2
+    return (v1 - v2) * (s1 - s2) < 0
+
+
+def free_slots(state):
+    """Slots of a `PlacementState` without a placed request, ascending."""
+    return [s for s in range(1, state.n + 1) if s not in state.placed]
+
+
+def state_is_free(state, slot) -> bool:
+    return 1 <= slot <= state.n and slot not in state.placed
+
+
+def state_items(state):
+    """The (slot, request) pairs of a `PlacementState` in slot order."""
+    return sorted(state.placed.items())
+
+
+def state_edges(state):
+    """All placed edges of a `PlacementState` as (vertex, slot) pairs."""
+    return [(v, slot) for slot, req in state.placed.items() for v in req.vertices]
+
+
+def state_degrees(state):
+    """Per-vertex request count of a `PlacementState`, index 0 unused."""
+    deg = [0] * (state.n + 1)
+    for req in state.placed.values():
+        deg[req.a] += 1
+        deg[req.b] += 1
+    return deg
+
+
+def realized_instance(trace):
+    """The instance a game actually played, classified 2-regular when it
+    qualifies."""
+    inst = Instance(trace.n, trace.requests, RegularityClass.TWO_REGULAR)
+    if validate_instance(inst):
+        inst = Instance(trace.n, trace.requests, RegularityClass.GENERAL)
+    return inst
+
+
+def unavoidable_lower_bound(trace) -> int:
+    """Sum of per-pair unavoidable crossings over the trace's pair-kind
+    histogram, read through the formula `score_trace` takes its optimum
+    from, so the tests that compare it against an oracle reach that
+    formula."""
+    return _histogram_opt(pair_type_histogram(trace))
 
 
 def unfulfilled_vertices(state):
     """Ascending vertex list with each vertex repeated (2 - degree) times.
     A vertex above n raises IndexError, one above degree two
     DegreeOverflowError."""
-    deg = state.degrees()
+    deg = state_degrees(state)
     if any(d > 2 for d in deg):
         raise degree_overflow_error(deg)
     return [v for v in range(1, state.n + 1) for _ in range(2 - deg[v])]
@@ -100,7 +158,7 @@ def segment_crossings(edges, segments) -> list[int]:
 
 def edge_arrow_crossings(state):
     """Crossings between placed edges and the state's propagation arrows."""
-    return sum(segment_crossings(state.edges(), scratch_arrows(state)))
+    return sum(segment_crossings(state_edges(state), scratch_arrows(state)))
 
 
 def sweep_greedy_scores(state, request):
@@ -112,7 +170,7 @@ def sweep_greedy_scores(state, request):
     free = free_slots(state)
     lv = [v for v, _ in scratch_arrows(apply(state, request, free[0]))]
     ls = unfulfilled_slots(state)
-    edges = state.edges()
+    edges = state_edges(state)
     ends = request.vertices
     board = sum(segment_crossings(edges, edges)) // 2
     new_edges = segment_crossings(edges, [(v, t) for t in free for v in ends])

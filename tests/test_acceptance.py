@@ -27,18 +27,18 @@ from oscm.algorithms import (
     play,
 )
 from oscm.crossings import PairKind, classify_pair, total_crossings
-from oscm.harness import realized_instance, run_experiment, sweep, unavoidable_lower_bound
+from oscm.harness import run_experiment, sweep
 from oscm.model import (
     Instance,
     Request,
     apply,
     empty_state,
-    free_slots,
     make_request,
     random_two_regular,
 )
 from oscm.offline import brute_force_opt, sorted_order_value
 from oscm.propagation import arrows
+from oracles import free_slots, realized_instance, unavoidable_lower_bound
 
 
 def _report(num, summary, capsys, body):

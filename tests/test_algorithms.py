@@ -19,7 +19,7 @@ from oscm.algorithms import (
     greedy_scores,
     play,
 )
-from oscm.crossings import edges_cross, total_crossings
+from oscm.crossings import total_crossings
 from oscm.harness import trace_to_dict
 from oscm.model import (
     Instance,
@@ -28,12 +28,22 @@ from oscm.model import (
     SlotRangeError,
     apply,
     empty_state,
-    free_slots,
     random_two_regular,
 )
 from oscm.propagation import DegreeOverflowError, arrows
 from oscm.replay import ReplayBoard
-from oracles import edge_arrow_crossings, outcome, scratch_arrows, sweep_greedy_scores
+from oracles import (
+    edge_arrow_crossings,
+    edges_cross,
+    free_slots,
+    outcome,
+    scratch_arrows,
+    state_degrees,
+    state_edges,
+    state_is_free,
+    state_items,
+    sweep_greedy_scores,
+)
 
 
 def occupy(state, slots):
@@ -129,7 +139,7 @@ def test_traces_are_legal_and_deterministic(name, n, seed):
     steps = trace_to_dict(trace)["steps"]
     state = empty_state(n)
     for i, step in enumerate(trace.steps):
-        assert state.is_free(step.slot)
+        assert state_is_free(state, step.slot)
         state = apply(state, step.request, step.slot)
         assert total_crossings(state) == step.edge_edge_total
         assert steps[i]["edge_arrow_total"] == edge_arrow_crossings(state)
@@ -159,7 +169,7 @@ def test_greedy_choice_is_argmin(n, seed):
 
 
 def naive_edge_arrow_crossings(state):
-    edges = state.edges()
+    edges = state_edges(state)
     return sum(1 for arrow in scratch_arrows(state) for edge in edges if edges_cross(edge, arrow))
 
 
@@ -258,7 +268,7 @@ def test_greedy_degree_overflow_matches_oracle():
         with pytest.raises(DegreeOverflowError) as got:
             fn(board, Request(1, 4))
         assert str(got.value) == str(expected.value) == "vertex 1 has degree 3 > 2"
-        assert board.degree == state.degrees()
+        assert board.degree == state_degrees(state)
 
 
 def test_greedy_arrow_mismatch_matches_oracle():
@@ -341,22 +351,22 @@ def test_board_answers_like_a_placement_state():
             board.place(request, slot)
         assert board.n == state.n
         assert board.free == free_slots(state)
-        assert board.degree == state.degrees()
-        assert board.by_slot == state.items()
-        assert [board.is_free(s) for s in range(n + 2)] == [state.is_free(s) for s in range(n + 2)]
-        assert sorted(board.edges()) == sorted(state.edges())
+        assert board.degree == state_degrees(state)
+        assert board.by_slot == state_items(state)
+        assert [board.is_free(s) for s in range(n + 2)] == [state_is_free(state, s) for s in range(n + 2)]
+        assert sorted(board.edges()) == sorted(state_edges(state))
         assert PlacementState(n=board.n, placed=dict(board.by_slot)) == state
         assert board.edge_edge_total == total_crossings(state)
 
 
 def test_play_copies_no_state(monkeypatch):
     # `play` drives one board: no algorithm or source makes it copy a state,
-    # scan for free slots, build an arrow set or recount the crossings. Each
-    # function is replaced at every module-level name that refers to it.
+    # build an arrow set or recount the crossings. Each function is
+    # replaced at every module-level name that refers to it.
     def refuse(*args):
         raise AssertionError("play copied a state or recounted from scratch")
 
-    targets = (oscm.model.apply, oscm.model.free_slots, oscm.propagation.arrows)
+    targets = (oscm.model.apply, oscm.propagation.arrows)
     targets += (oscm.crossings.total_crossings,)
     for name, module in list(sys.modules.items()):
         if name == "oscm" or name.startswith("oscm."):

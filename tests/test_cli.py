@@ -358,6 +358,7 @@ def test_audit_stdout_is_byte_identical(tmp_path, monkeypatch, capsys):
         "oscm.harness.ReplayMismatchError",
         "oscm.adversaries.ProtocolError",
         "builtins.IndexError",
+        "builtins.KeyError",
     ],
 )
 def test_internal_errors_exit_3(error, monkeypatch, capsys):
@@ -374,5 +375,7 @@ def test_internal_errors_exit_3(error, monkeypatch, capsys):
     monkeypatch.setattr(oscm.cli, "score_trace", broken_score_trace)
     assert main(["adversary", "--name", "fig8", "--n", "4", "--algo", "greedy"]) == 3
     first, *rest = capsys.readouterr().err.splitlines()
-    assert first == f"internal error: {name}: counter bug"
+    # str() of a KeyError quotes its key.
+    message = "'counter bug'" if name == "KeyError" else "counter bug"
+    assert first == f"internal error: {name}: {message}"
     assert rest[0] == "Traceback (most recent call last):"

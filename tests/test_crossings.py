@@ -6,12 +6,11 @@ from hypothesis import given, strategies as st
 from oscm.crossings import (
     PairKind,
     classify_pair,
-    edges_cross,
     pair_crossings,
     total_crossings,
 )
 from oscm.model import Request, random_two_regular
-from oracles import added_crossings
+from oracles import added_crossings, edges_cross
 
 
 def test_edges_cross_rule():

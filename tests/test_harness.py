@@ -14,16 +14,15 @@ from oscm.harness import (
     ReplayMismatchError,
     audit_trace,
     pair_type_histogram,
-    realized_instance,
     run_experiment,
     score_trace,
     sweep,
-    unavoidable_lower_bound,
     write_csv,
     write_json,
 )
 from oscm.model import Instance, Request, random_two_regular
 from oscm.offline import MAX_N, OracleSizeError, brute_force_opt, sorted_order_value
+from oracles import realized_instance, unavoidable_lower_bound
 
 
 def test_run_experiment_report_consistency():

@@ -9,13 +9,13 @@ from oscm.model import (
     SlotRangeError,
     apply,
     empty_state,
-    free_slots,
     instance_from_dict,
     instance_to_dict,
     make_request,
     random_two_regular,
     validate_instance,
 )
+from oracles import free_slots, state_degrees
 
 
 def test_request_canonical_order():
@@ -55,7 +55,7 @@ def test_apply_basics():
     state = empty_state(3)
     state = apply(state, Request(1, 2), 2)
     assert state.placed == {2: Request(1, 2)}
-    assert state.degrees() == [0, 1, 1, 0]
+    assert state_degrees(state) == [0, 1, 1, 0]
     with pytest.raises(SlotOccupiedError):
         apply(state, Request(2, 3), 2)
     with pytest.raises(SlotRangeError):
@@ -108,7 +108,7 @@ def test_degree_sum_matches_placed_count(n, seed):
     state = empty_state(n)
     for slot, req in enumerate(inst.requests, start=1):
         state = apply(state, req, slot)
-        assert sum(state.degrees()) == 2 * len(state.placed)
+        assert sum(state_degrees(state)) == 2 * len(state.placed)
 
 
 def test_instance_dict_round_trip():
@@ -135,11 +135,14 @@ def test_instance_from_dict_rejects_invalid():
         ({"n": 3, "requests": [[1, 2, 3]]}, r"request 1 must be a pair of vertices, got \[1, 2, 3\]"),
         ({"n": 3, "requests": "12"}, "requests must be a list of pairs, got '12'"),
         ([3, [[1, 2]]], "an instance must be a JSON object, got list"),
+        ({"n": 2, "k": 3, "requests": [[1, 2], [1, 2]]}, "k must be 2, as requests are pairs, got 3"),
+        ({"n": 2, "k": "two", "requests": [[1, 2], [1, 2]]}, "k must be an integer, got 'two'"),
     ],
 )
 def test_instance_from_dict_rejects_coercible_values(data, message):
     # Each of these used to load silently as something else: 3.7 and True
-    # as 3 and 1, [1, 2.9] as (1, 2), the string "12" as request (1, 2).
+    # as 3 and 1, [1, 2.9] as (1, 2), the string "12" as request (1, 2),
+    # and a "k" other than 2 was ignored.
     with pytest.raises(ValueError, match=f"^{message}$"):
         instance_from_dict(data)
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from oscm.algorithms import FIRST_FIT, play
 from oscm.crossings import total_crossings
-from oscm.harness import unavoidable_lower_bound
 from oscm.model import Instance, Request, random_two_regular
 from oscm.offline import (
     MAX_N,
@@ -14,6 +13,7 @@ from oscm.offline import (
     sorted_order_opt,
     sorted_order_value,
 )
+from oracles import unavoidable_lower_bound
 
 
 def assignment_crossings(inst, assignment):

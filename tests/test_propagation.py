@@ -8,7 +8,6 @@ from oscm.model import (
     SlotRangeError,
     apply,
     empty_state,
-    free_slots,
     random_two_regular,
 )
 from oscm.propagation import (
@@ -18,7 +17,7 @@ from oscm.propagation import (
     audit_no_double_cross,
 )
 from oscm.replay import cut_flows
-from oracles import scratch_arrows, unfulfilled_slots, unfulfilled_vertices
+from oracles import free_slots, scratch_arrows, unfulfilled_slots, unfulfilled_vertices
 
 
 def fig4_state():

@@ -5,7 +5,15 @@ import pytest
 
 from oscm.adversaries import fig8_instance, thm1_adversary
 from oscm.algorithms import ALGORITHMS, FIRST_FIT, GREEDY, play
-from oscm.model import Instance, Request, apply, empty_state, random_two_regular
+from oscm.model import (
+    Instance,
+    PlacementState,
+    Request,
+    SlotRangeError,
+    apply,
+    empty_state,
+    random_two_regular,
+)
 from oscm.render import RenderSpec, render_svg
 
 
@@ -40,6 +48,24 @@ def test_full_state_has_no_arrows():
 def test_arrows_can_be_hidden():
     svg = render_svg(empty_state(4), RenderSpec(show_arrows=False))
     assert svg.count('class="arrow"') == 0
+
+
+@pytest.mark.parametrize("show_arrows", [True, False])
+def test_slot_outside_the_board_is_refused(show_arrows):
+    # The state is read off one board, which refuses the slot whether or
+    # not arrows are drawn.
+    state = PlacementState(n=3, placed={5: Request(1, 2)})
+    with pytest.raises(SlotRangeError, match="^slot 5 out of range 1..3$"):
+        render_svg(state, RenderSpec(show_arrows=show_arrows))
+
+
+@pytest.mark.parametrize("show_arrows", [True, False])
+def test_vertex_above_n_raises_index_error(show_arrows):
+    # `apply` checks the slot only; the board has no degree entry for the
+    # vertex, whether or not arrows are drawn.
+    state = apply(empty_state(3), Request(1, 5), 1)
+    with pytest.raises(IndexError):
+        render_svg(state, RenderSpec(show_arrows=show_arrows))
 
 
 def test_highlight_marks_requested_edges():

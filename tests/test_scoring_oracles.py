@@ -28,7 +28,6 @@ from oscm.crossings import (
     PairKind,
     UnclassifiablePairError,
     classify_pair,
-    edges_cross,
     order_counts,
     pair_crossings,
     total_crossings,
@@ -39,7 +38,6 @@ from oscm.harness import (
     pair_type_histogram,
     score_trace,
     trace_to_dict,
-    unavoidable_lower_bound,
 )
 from oscm.model import (
     Instance,
@@ -48,7 +46,6 @@ from oscm.model import (
     SlotRangeError,
     apply,
     empty_state,
-    free_slots,
     random_two_regular,
 )
 from oscm.propagation import (
@@ -62,10 +59,16 @@ from oracles import (
     added_crossings,
     edge_arrow_crossings,
     edge_pair_crossings,
+    edges_cross,
+    free_slots,
     outcome,
     raised,
     scratch_arrows,
     segment_crossings,
+    state_edges,
+    state_is_free,
+    state_items,
+    unavoidable_lower_bound,
 )
 
 
@@ -84,7 +87,7 @@ def oracle_classify(r1, s1, r2, s2):
 
 def oracle_histogram(state):
     counts = {kind.name: 0 for kind in PairKind}
-    for (s1, r1), (s2, r2) in combinations(state.items(), 2):
+    for (s1, r1), (s2, r2) in combinations(state_items(state), 2):
         counts[oracle_classify(r1, s1, r2, s2).kind.name] += 1
     return counts
 
@@ -92,12 +95,12 @@ def oracle_histogram(state):
 def oracle_unavoidable(state):
     return sum(
         oracle_classify(r1, s1, r2, s2).unavoidable
-        for (s1, r1), (s2, r2) in combinations(state.items(), 2)
+        for (s1, r1), (s2, r2) in combinations(state_items(state), 2)
     )
 
 
 def oracle_total(placements):
-    items = placements.items() if isinstance(placements, PlacementState) else list(placements)
+    items = state_items(placements) if isinstance(placements, PlacementState) else list(placements)
     return sum(
         edge_pair_crossings(r1, s1, r2, s2) for (s1, r1), (s2, r2) in combinations(items, 2)
     )
@@ -105,7 +108,7 @@ def oracle_total(placements):
 
 def oracle_gap(state_before, request, slot):
     findings = []
-    for other_slot, other_req in state_before.items():
+    for other_slot, other_req in state_items(state_before):
         kind = oracle_classify(request, slot, other_req, other_slot)
         worst = max(kind.placed_count, kind.swapped_count)
         if kind.kind not in (PairKind.FOUR_ZERO, PairKind.THREE_ZERO):
@@ -113,7 +116,7 @@ def oracle_gap(state_before, request, slot):
         if kind.placed_count != worst:
             continue
         lo, hi = min(slot, other_slot), max(slot, other_slot)
-        if any(state_before.is_free(s) for s in range(lo + 1, hi)):
+        if any(state_is_free(state_before, s) for s in range(lo + 1, hi)):
             findings.append(
                 f"{kind.kind.name} pair ({request.a},{request.b})@{slot} vs "
                 f"({other_req.a},{other_req.b})@{other_slot} with a free slot between"
@@ -127,7 +130,7 @@ def bisect_gap_findings(state_before, request, slot):
     `slot` has a free slot between exactly when it lies left of the nearest
     free slot below `slot`, and one right of it when it lies right of the
     nearest free slot above, so bisections find both runs of candidates."""
-    items = state_before.items()
+    items = state_items(state_before)
     slots = [s for s, _ in items]
     free = free_slots(state_before)
     below = bisect_left(free, slot)
@@ -141,7 +144,7 @@ def oracle_double_cross(state, arr=None):
     if arr is None:
         arr = scratch_arrows(state)
     findings = []
-    for slot, req in state.items():
+    for slot, req in state_items(state):
         e1, e2 = (req.a, slot), (req.b, slot)
         by_target = {}
         for a in arr:
@@ -159,7 +162,7 @@ def oracle_double_cross(state, arr=None):
 def oracle_equator(state, arr=None):
     if arr is None:
         arr = scratch_arrows(state)
-    segments = state.edges() + list(arr)
+    segments = state_edges(state) + list(arr)
     return [
         f"cut (v<={i}, s<={i}): {lr} left-to-right vs {rl} right-to-left"
         for i, (lr, rl) in enumerate(cut_flows(state.n, segments), start=1)
@@ -464,7 +467,7 @@ def per_step_audit_trace(trace):
     state = empty_state(trace.n)
     edge_edge_total = 0
     for idx, step in enumerate(trace.steps, start=1):
-        if not state.is_free(step.slot):
+        if not state_is_free(state, step.slot):
             raise ReplayMismatchError(f"step {idx} places into unavailable slot {step.slot}")
         gap = bisect_gap_findings(state, step.request, step.slot)
         findings.extend(f"step {idx}: {f}" for f in gap)
