@@ -8,7 +8,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Union
 
-from .model import Instance, PlacementState, Request
+from .model import Instance, PlacementState, Request, vertex_range_error
 from .propagation import degree_overflow_error
 from .replay import ReplayBoard
 
@@ -182,10 +182,7 @@ def play(source: Union[Instance, RequestSource], algorithm: OnlineAlgorithm) -> 
     steps: list[TraceStep] = []
     while (request := next_request(board)) is not None:
         if request.b > board.n:
-            raise ValueError(
-                f"step {len(steps) + 1}: request ({request.a},{request.b}) "
-                f"has a vertex above n={board.n}"
-            )
+            raise ValueError(f"step {len(steps) + 1}: {vertex_range_error(board.n, request)}")
         slot = algorithm.choose(board, request)
         board.place(request, slot)
         steps.append(TraceStep(request=request, slot=slot, edge_edge_total=board.edge_edge_total))

@@ -129,36 +129,41 @@ def _histogram_opt(histogram: dict[str, int]) -> int:
     return sum(min(kind.value) * histogram[kind.name] for kind in PairKind)
 
 
+def _replay(trace: Trace):
+    """Replay a trace on one `ReplayBoard`, yielding (index, step, board)
+    after each step's placement, with the index counted from 1. A placement
+    the board refuses raises `ReplayMismatchError` worded with the board's
+    reason, and a step whose stored edge-edge total differs from the
+    board's running total raises it too, both at that step."""
+    board = ReplayBoard(trace.n)
+    for idx, step in enumerate(trace.steps, start=1):
+        try:
+            board.place(step.request, step.slot)
+        except ValueError as exc:
+            raise ReplayMismatchError(f"step {idx}: {exc}") from exc
+        if board.edge_edge_total != step.edge_edge_total:
+            raise ReplayMismatchError(f"step {idx} stored edge-edge total is stale")
+        yield idx, step, board
+
+
 def audit_trace(trace: Trace) -> list[str]:
-    """Replay a trace on a `ReplayBoard` and collect invariant findings at
-    every step: the gap audit before each placement, then the double-cross
-    and equator audits after it.
+    """Replay a trace (`_replay`) and collect invariant findings at every
+    step: the gap audit of the request just placed, then the double-cross
+    and equator audits of the board.
 
     The arrow-based audits are skipped on states where arrows are undefined
     (possible for general, non-2-regular request sequences); both read the
-    board's one arrow list. A vertex above n raises IndexError. The board's
-    running edge-edge total must equal every step's stored total, so once
-    this returns, the last step's total is the game's checked crossing count
-    (`replayed_crossings`). Each finding is worded once, with its
+    board's one arrow list. The replay checks every step's stored total, so
+    once this returns, the last step's total is the game's checked crossing
+    count (`replayed_crossings`). Each finding is worded once, with its
     "step <i>: " prefix, so a caller picks one audit's findings by their
     wording: "<KIND> pair (" for gaps, "arrows [" for double crosses and
     "cut (" for the equator.
     """
     findings: list[str] = []
-    board = ReplayBoard(trace.n)
-    for idx, step in enumerate(trace.steps, start=1):
-        request, slot = step.request, step.slot
-        if not board.is_free(slot):
-            raise ReplayMismatchError(f"step {idx} places into unavailable slot {slot}")
+    for idx, step, board in _replay(trace):
         prefix = f"step {idx}: "
-        findings.extend(board.gap_findings(request, slot, prefix))
-        try:
-            board.place(request, slot)
-        finally:
-            # `place` counts its running total before a vertex above n can
-            # raise IndexError, so a stale total is reported first.
-            if board.edge_edge_total != step.edge_edge_total:
-                raise ReplayMismatchError(f"step {idx} stored edge-edge total is stale")
+        findings.extend(board.gap_findings(step.slot, prefix))
         if board.lv is None:
             continue
         findings.extend(board.double_cross_findings(prefix))
@@ -278,29 +283,23 @@ def report_to_dict(report: RatioReport) -> dict:
 
 
 def trace_to_dict(trace: Trace) -> dict:
-    """The trace as JSON-ready data. A trace step keeps no edge-arrow total
-    (the arrows are an analysis aid, not part of a decision), so each
-    step's is counted here on a `ReplayBoard` replay, one contiguous arrow
-    run per placed edge (`ReplayBoard.edge_arrow_total`): None on states
-    where arrows are undefined (a vertex above degree two, possible for
-    general instances; a replayed state always has as many missing edges
-    as slot openings)."""
-    steps = []
-    board = ReplayBoard(trace.n)
-    for s in trace.steps:
-        board.place(s.request, s.slot)
-        if board.lv is None:
-            arrow_total = None
-        else:
-            arrow_total = board.edge_arrow_total()
-        steps.append(
-            {
-                "request": [s.request.a, s.request.b],
-                "slot": s.slot,
-                "edge_edge_total": s.edge_edge_total,
-                "edge_arrow_total": arrow_total,
-            }
-        )
+    """The trace as JSON-ready data, read through the checked replay of
+    `audit_trace` (`_replay`), so a trace with a refused placement or a
+    stale total raises `ReplayMismatchError` instead of being written. A
+    trace step keeps no edge-arrow total (the arrows are an analysis aid,
+    not part of a decision), so each step's is counted on the replayed
+    board, one contiguous arrow run per placed edge
+    (`ReplayBoard.edge_arrow_total`): None on states where arrows are
+    undefined (a vertex above degree two, possible for general instances)."""
+    steps = [
+        {
+            "request": [s.request.a, s.request.b],
+            "slot": s.slot,
+            "edge_edge_total": s.edge_edge_total,
+            "edge_arrow_total": None if board.lv is None else board.edge_arrow_total(),
+        }
+        for _, s, board in _replay(trace)
+    ]
     return {"n": trace.n, "steps": steps}
 
 

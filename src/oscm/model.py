@@ -124,10 +124,20 @@ def unavailable_slot_error(n: int, slot: int) -> ValueError:
     return SlotOccupiedError(f"slot {slot} is already fulfilled")
 
 
+def vertex_range_error(n: int, request: Request) -> ValueError:
+    """The error for placing `request` on an n-slot board when its larger
+    vertex lies above n."""
+    return ValueError(f"request ({request.a},{request.b}) has a vertex above n={n}")
+
+
 def apply(state: PlacementState, request: Request, slot: int) -> PlacementState:
-    """Record `request` at `slot`, returning the new state."""
+    """Record `request` at `slot`, returning the new state. An unavailable
+    slot, then a vertex above n, raises the error `ReplayBoard.place`
+    raises."""
     if not 1 <= slot <= state.n or slot in state.placed:
         raise unavailable_slot_error(state.n, slot)
+    if request.b > state.n:
+        raise vertex_range_error(state.n, request)
     placed = dict(state.placed)
     placed[slot] = request
     return PlacementState(n=state.n, placed=placed)
@@ -179,11 +189,14 @@ def instance_from_dict(data: dict) -> Instance:
     """Build and validate an instance from its JSON form. Values are taken
     as they are: a float, bool or string where an integer belongs, or a
     request that is not a two-element list, raises ValueError. An optional
-    "k" must be the integer 2, as every request is a pair."""
+    "k" must be the integer 2, as every request is a pair. A key other than
+    the four `instance_to_dict` writes is refused, so a misspelt
+    "regularity" cannot skip its check."""
     if not isinstance(data, dict):
         raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
-    missing = [key for key in ("n", "requests") if key not in data]
-    if missing:
+    if unknown := [key for key in data if key not in ("n", "k", "regularity", "requests")]:
+        raise ValueError("instance has unknown key " + " and ".join(map(repr, unknown)))
+    if missing := [key for key in ("n", "requests") if key not in data]:
         raise ValueError("instance is missing " + " and ".join(map(repr, missing)))
     if "k" in data and _strict_int(data["k"], "k") != 2:
         raise ValueError(f"k must be 2, as requests are pairs, got {data['k']}")

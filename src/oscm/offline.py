@@ -142,10 +142,10 @@ def sorted_order_value(inst: Instance) -> int:
 
 def sorted_order_opt(inst: Instance) -> OptResult:
     """The optimum and its sorted-order witness: requests in (a, b, index)
-    order fill slots 1..m."""
+    order fill slots 1..m. The value is the witness's own crossing count,
+    the one `sorted_order_value` counts."""
     slot_of = [0] * len(inst.requests)
     for slot, i in enumerate(_sorted_order(inst.requests), start=1):
         slot_of[i] = slot
-    return OptResult(
-        opt_crossings=sorted_order_value(inst), witness=Assignment(slot_of=tuple(slot_of))
-    )
+    witness = Assignment(slot_of=tuple(slot_of))
+    return OptResult(opt_crossings=total_crossings(zip(slot_of, inst.requests)), witness=witness)

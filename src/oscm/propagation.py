@@ -32,8 +32,9 @@ def degree_overflow_error(deg: list[int]) -> DegreeOverflowError:
 
 def _arrow_board(state: PlacementState) -> ReplayBoard:
     """`ReplayBoard.of(state)`, whose arrows must be defined: a vertex above
-    degree two raises DegreeOverflowError. As in loading the board, a slot
-    outside 1..n raises SlotRangeError and a vertex above n IndexError."""
+    degree two raises DegreeOverflowError. Loading refuses what `place`
+    refuses: a slot outside 1..n (SlotRangeError) or a vertex above n
+    (ValueError)."""
     board = ReplayBoard.of(state)
     if board.lv is None:
         raise degree_overflow_error(board.degree)

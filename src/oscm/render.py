@@ -38,7 +38,7 @@ def _fmt(x: float) -> str:
 def render_svg(state: PlacementState, spec: RenderSpec = RenderSpec()) -> str:
     """Render a state as an SVG document string, read from one
     `ReplayBoard`: a slot outside 1..n raises SlotRangeError and a vertex
-    above n IndexError, whether or not arrows are shown. Where a vertex
+    above n ValueError, whether or not arrows are shown. Where a vertex
     exceeds degree two the arrows are undefined, and none are drawn."""
     board = ReplayBoard.of(state)
     n = state.n

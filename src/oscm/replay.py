@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 
 from .crossings import PairKind
-from .model import PlacementState, Request, unavailable_slot_error
+from .model import PlacementState, Request, unavailable_slot_error, vertex_range_error
 
 
 def gap_pair_findings(request, slot, items, left_stop, right_start, prefix: str = "") -> list[str]:
@@ -107,8 +107,9 @@ class ReplayBoard:
     against `slot_ends`. The propagation arrows are `lv` paired position
     by position with the doubled free-slot list (`arrows`). Once a vertex
     exceeds degree two the arrows are undefined, and `lv` is None from
-    then on; `ends` is still kept. A vertex above n has no degree entry
-    and raises IndexError.
+    then on; `ends` is still kept. `place` refuses an unavailable slot or
+    a vertex above n before it edits anything, so every placement is
+    applied whole or not at all.
 
     Request sources and algorithms read the live lists `free`, `degree`
     and `by_slot` (greedy also `lv` and `edge_edge_total`) and must not
@@ -132,7 +133,7 @@ class ReplayBoard:
     @classmethod
     def of(cls, state: PlacementState) -> ReplayBoard:
         """A board holding the placements of `state`, placed in slot order:
-        a slot outside 1..n raises SlotRangeError, as placing there does."""
+        the first placement `place` refuses raises its error."""
         board = cls(state.n)
         for slot, request in sorted(state.placed.items()):
             board.place(request, slot)
@@ -143,9 +144,9 @@ class ReplayBoard:
         return k < len(self.free) and self.free[k] == slot
 
     def place(self, request: Request, slot: int) -> None:
-        """Record `request` at `slot`; an unavailable slot raises the error
-        `model.apply` raises. The running total is counted before a vertex
-        above n can raise.
+        """Record `request` at `slot`. An unavailable slot, then a vertex
+        above n, raises the error `model.apply` raises, and the board is
+        left as it was.
 
         The new edges cross every placed edge on the left with a vertex
         above theirs and every one on the right with a vertex below. Two
@@ -158,8 +159,10 @@ class ReplayBoard:
         k = bisect_left(free, slot)
         if k == len(free) or free[k] != slot:
             raise unavailable_slot_error(self.n, slot)
-        by_slot, ends = self.by_slot, self.ends
         a, b = request.a, request.b
+        if b > self.n:
+            raise vertex_range_error(self.n, request)
+        by_slot, ends = self.by_slot, self.ends
         pos = slot - 1 - k
         if 2 * pos <= len(by_slot):
             below = bisect_left(ends, a) + bisect_left(ends, b)
@@ -199,18 +202,21 @@ class ReplayBoard:
             for v in (q.a, q.b)
         )
 
-    def gap_findings(self, request: Request, slot: int, prefix: str) -> list[str]:
-        """The gap findings of the board before `request` is placed at the
-        free `slot`, each starting with `prefix`. A placed slot left of `slot` has a free slot between
-        exactly when it lies left of the nearest free slot below `slot`,
-        and one right of it when it lies right of the nearest free slot
-        above; their placed-slot counts bound the two runs, with no search.
+    def gap_findings(self, slot: int, prefix: str) -> list[str]:
+        """The gap findings of the request just placed at `slot`, each
+        starting with `prefix`. A placed slot left of `slot` has a free slot
+        between exactly when it lies left of the nearest free slot below
+        `slot`, and one right of it when it lies right of the nearest free
+        slot above; their placed-slot counts bound the two runs, with no
+        search. With k free slots left of `slot`, those are free[k - 1] and
+        free[k], and the request sits at by_slot[slot - 1 - k].
         """
-        free = self.free
+        free, by_slot = self.free, self.by_slot
         k = bisect_left(free, slot)
         left_stop = free[k - 1] - k if k else 0
-        right_start = free[k + 1] - k - 2 if k + 1 < len(free) else len(self.by_slot)
-        return gap_pair_findings(request, slot, self.by_slot, left_stop, right_start, prefix)
+        right_start = free[k] - k - 1 if k < len(free) else len(by_slot)
+        request = by_slot[slot - 1 - k][1]
+        return gap_pair_findings(request, slot, by_slot, left_stop, right_start, prefix)
 
     def double_cross_findings(self, prefix: str = "") -> list[str]:
         """The double-cross findings of the board, each starting with

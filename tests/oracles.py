@@ -194,12 +194,3 @@ def outcome(fn, *args):
         return fn(*args)
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
-
-
-def raised(fn, *args):
-    """Like `outcome`, but also for the IndexError a vertex above n raises
-    on a board."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return type(exc), str(exc)

@@ -227,6 +227,9 @@ def test_user_errors_exit_2(tmp_path, capsys):
     bad.write_text('{"requests": [[1, 2]]}')
     assert main(["run", "--algo", "greedy", "--instance", str(bad)]) == 2
     assert capsys.readouterr().err == "error: instance is missing 'n'\n"
+    bad.write_text('{"n": 2, "requests": [[1, 2], [1, 2]], "regularty": "two_regular"}')
+    assert main(["run", "--algo", "greedy", "--instance", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: instance has unknown key 'regularty'\n"
     assert main(["adversary", "--name", "thm1", "--n", "3", "--algo", "greedy"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     for sizes, error in [

@@ -62,6 +62,16 @@ def test_apply_basics():
         apply(state, Request(2, 3), 4)
 
 
+def test_apply_refuses_a_vertex_above_n():
+    state = empty_state(3)
+    with pytest.raises(ValueError, match=r"^request \(1,5\) has a vertex above n=3$"):
+        apply(state, Request(1, 5), 1)
+    # The slot is checked first, as `ReplayBoard.place` checks it.
+    with pytest.raises(SlotRangeError, match="^slot 4 out of range 1..3$"):
+        apply(state, Request(1, 5), 4)
+    assert state.placed == {}
+
+
 def test_apply_is_persistent():
     before = empty_state(3)
     after = apply(before, Request(1, 2), 1)
@@ -116,11 +126,15 @@ def test_instance_dict_round_trip():
     data = instance_to_dict(inst)
     assert data["k"] == 2 and data["regularity"] == "two_regular"
     assert instance_from_dict(data) == inst
+    general = Instance(n=4, requests=(Request(1, 3), Request(1, 3), Request(1, 4)))
+    assert instance_from_dict(instance_to_dict(general)) == general
 
 
 def test_instance_from_dict_rejects_invalid():
     with pytest.raises(ValueError):
         instance_from_dict({"n": 2, "regularity": "two_regular", "requests": [[1, 2]]})
+    with pytest.raises(ValueError, match="vertex 1 appears 3 times, expected 2"):
+        instance_from_dict({"n": 3, "requests": [[1, 2], [1, 2], [1, 3]], "regularity": "two_regular"})
 
 
 @pytest.mark.parametrize(
@@ -137,12 +151,20 @@ def test_instance_from_dict_rejects_invalid():
         ([3, [[1, 2]]], "an instance must be a JSON object, got list"),
         ({"n": 2, "k": 3, "requests": [[1, 2], [1, 2]]}, "k must be 2, as requests are pairs, got 3"),
         ({"n": 2, "k": "two", "requests": [[1, 2], [1, 2]]}, "k must be an integer, got 'two'"),
+        (
+            {"n": 3, "requests": [[1, 2], [1, 2], [1, 3]], "regularty": "two_regular"},
+            "instance has unknown key 'regularty'",
+        ),
+        ({"n": 3, "requests": [], "K": 2, "seed": 1}, "instance has unknown key 'K' and 'seed'"),
     ],
 )
 def test_instance_from_dict_rejects_coercible_values(data, message):
     # Each of these used to load silently as something else: 3.7 and True
     # as 3 and 1, [1, 2.9] as (1, 2), the string "12" as request (1, 2),
-    # and a "k" other than 2 was ignored.
+    # a "k" other than 2 was ignored, and so was an unknown key, so that a
+    # misspelt "regularity" loaded a general instance without the 2-regular
+    # check (spelt right, the first document is refused: vertex 1 appears
+    # 3 times).
     with pytest.raises(ValueError, match=f"^{message}$"):
         instance_from_dict(data)
 

@@ -60,11 +60,11 @@ def test_slot_outside_the_board_is_refused(show_arrows):
 
 
 @pytest.mark.parametrize("show_arrows", [True, False])
-def test_vertex_above_n_raises_index_error(show_arrows):
-    # `apply` checks the slot only; the board has no degree entry for the
-    # vertex, whether or not arrows are drawn.
-    state = apply(empty_state(3), Request(1, 5), 1)
-    with pytest.raises(IndexError):
+def test_vertex_above_n_is_refused(show_arrows):
+    # `apply` refuses this request, so the record is built by hand; the
+    # board refuses it before any edit, whether or not arrows are drawn.
+    state = PlacementState(n=3, placed={1: Request(1, 5)})
+    with pytest.raises(ValueError, match=r"^request \(1,5\) has a vertex above n=3$"):
         render_svg(state, RenderSpec(show_arrows=show_arrows))
 
 

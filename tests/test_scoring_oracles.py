@@ -8,6 +8,7 @@ values, findings in the same order, on every step of every game here.
 
 import functools
 import random
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from itertools import combinations
@@ -43,6 +44,7 @@ from oscm.model import (
     Instance,
     PlacementState,
     Request,
+    SlotOccupiedError,
     SlotRangeError,
     apply,
     empty_state,
@@ -62,7 +64,6 @@ from oracles import (
     edges_cross,
     free_slots,
     outcome,
-    raised,
     scratch_arrows,
     segment_crossings,
     state_edges,
@@ -189,6 +190,12 @@ def oracle_audit_trace(trace):
 # ----------------------------------------------------------------- helpers
 
 
+def apply_item(state, item):
+    """`apply` with a (slot, request) pair, for folding a state's items."""
+    slot, request = item
+    return apply(state, request, slot)
+
+
 def assert_state_matches(state):
     assert total_crossings(state) == oracle_total(state)
     assert outcome(audit_no_double_cross, state) == outcome(oracle_double_cross, state)
@@ -299,6 +306,7 @@ def test_scoring_matches_oracles_on_general_instances():
 
 def test_scoring_matches_oracles_on_partial_and_hand_built_states():
     rng = random.Random(11)
+    refusals = set()
     for _ in range(200):
         n = rng.randint(1, 12)
         placed = {}
@@ -306,27 +314,18 @@ def test_scoring_matches_oracles_on_partial_and_hand_built_states():
             a = rng.randint(1, n + 1)
             placed[slot] = Request(a, a + rng.randint(1, 3))
         state = PlacementState(n=n, placed=placed)
-        if any(not 1 <= s <= n for s in placed):
-            # No board holds a slot outside 1..n: the arrows and both audits
-            # raise what loading the state in slot order raises, so
-            # SlotRangeError unless a vertex above n comes first.
-            loading = raised(ReplayBoard.of, state)
-            assert loading[0] in (SlotRangeError, IndexError)
-            for fn in (arrows, audit_no_double_cross, audit_equator):
-                assert raised(fn, state) == loading
+        # A board loads a state in slot order, so the arrows and both audits
+        # raise the first error `apply` raises in that order: SlotRangeError
+        # for a slot outside 1..n, ValueError for a vertex above n.
+        loaded = outcome(functools.reduce, apply_item, state_items(state), empty_state(n))
+        if isinstance(loaded, tuple):
+            refusals.add(loaded[0])
+            for fn in (ReplayBoard.of, arrows, audit_no_double_cross, audit_equator):
+                assert outcome(fn, state) == loaded
             assert outcome(oracle_total, state) == outcome(total_crossings, state)
             continue
-        # Vertices above n have no degree entry; both sides raise alike.
-        try:
-            scratch_arrows(state)
-        except IndexError:
-            for fn in (arrows, audit_no_double_cross, audit_equator):
-                assert raised(fn, state)[0] is IndexError
-            assert outcome(oracle_total, state) == outcome(total_crossings, state)
-            continue
-        except DegreeOverflowError:
-            pass
         assert_state_matches(state)
+    assert refusals == {SlotRangeError, ValueError}
 
 
 def layout_trace(requests, slots):
@@ -459,24 +458,33 @@ def test_audit_trace_shares_the_board_arrows_between_both_audits(monkeypatch):
 # ------------------------------------------------ replay board vs per-step
 
 
-def per_step_audit_trace(trace):
-    """`audit_trace` as it was before the replay board: every step builds a
-    new state with `apply`, builds its arrows from scratch and runs the
-    per-state audits, each on a board loaded with that state."""
-    findings = []
+def per_step_states(trace):
+    """Each step's index, the step, and the states before and after it,
+    each built anew with `apply`. A placement `apply` refuses, or a stored
+    total other than the running sum of `added_crossings`, raises
+    ReplayMismatchError at its step, as the board's replay does."""
     state = empty_state(trace.n)
     edge_edge_total = 0
     for idx, step in enumerate(trace.steps, start=1):
-        if not state_is_free(state, step.slot):
-            raise ReplayMismatchError(f"step {idx} places into unavailable slot {step.slot}")
-        gap = bisect_gap_findings(state, step.request, step.slot)
-        findings.extend(f"step {idx}: {f}" for f in gap)
-        after = apply(state, step.request, step.slot)
+        try:
+            after = apply(state, step.request, step.slot)
+        except ValueError as exc:
+            raise ReplayMismatchError(f"step {idx}: {exc}") from exc
         edge_edge_total += added_crossings(state, step.request, step.slot)
-        state = after
         if edge_edge_total != step.edge_edge_total:
             raise ReplayMismatchError(f"step {idx} stored edge-edge total is stale")
-        # A vertex above n raises IndexError here.
+        yield idx, step, state, after
+        state = after
+
+
+def per_step_audit_trace(trace):
+    """`audit_trace` as it was before the replay board: every step builds a
+    new state, builds its arrows from scratch and runs the per-state
+    audits, each on a board loaded with that state."""
+    findings = []
+    for idx, step, before, state in per_step_states(trace):
+        gap = bisect_gap_findings(before, step.request, step.slot)
+        findings.extend(f"step {idx}: {f}" for f in gap)
         try:
             scratch_arrows(state)
         except DegreeOverflowError:
@@ -487,11 +495,10 @@ def per_step_audit_trace(trace):
 
 
 def per_step_trace_to_dict(trace):
-    """`trace_to_dict` as it was before the replay board."""
+    """`trace_to_dict` as it was before the replay board, with the checks
+    of `per_step_states`."""
     steps = []
-    state = empty_state(trace.n)
-    for s in trace.steps:
-        state = apply(state, s.request, s.slot)
+    for _, s, _, state in per_step_states(trace):
         try:
             arrow_total = edge_arrow_crossings(state)
         except DegreeOverflowError:
@@ -525,8 +532,8 @@ def assert_replays_agree(trace):
     `trace_to_dict` likewise."""
     for stop in range(len(trace.steps) + 1):
         prefix = replace(trace, steps=trace.steps[:stop])
-        assert raised(audit_trace, prefix) == raised(per_step_audit_trace, prefix)
-        assert raised(trace_to_dict, prefix) == raised(per_step_trace_to_dict, prefix)
+        assert outcome(audit_trace, prefix) == outcome(per_step_audit_trace, prefix)
+        assert outcome(trace_to_dict, prefix) == outcome(per_step_trace_to_dict, prefix)
 
 
 def test_board_replay_matches_per_step_replay_on_game_grids():
@@ -545,29 +552,25 @@ TWO_REGULAR_6 = [(1, 2), (3, 4), (5, 6), (1, 3), (2, 5), (4, 6)]
 @pytest.mark.parametrize(
     "slots, error",
     [
-        ([2, 5, 0, 1, 3, 4], "step 3 places into unavailable slot 0"),
-        ([2, 5, 7, 1, 3, 4], "step 3 places into unavailable slot 7"),
-        ([2, 5, 1, 5, 3, 4], "step 4 places into unavailable slot 5"),
+        ([2, 5, 0, 1, 3, 4], "step 3: slot 0 out of range 1..6"),
+        ([2, 5, 7, 1, 3, 4], "step 3: slot 7 out of range 1..6"),
+        ([2, 5, 1, 5, 3, 4], "step 4: slot 5 is already fulfilled"),
     ],
 )
 def test_board_replay_rejects_unavailable_slots_at_the_same_step(slots, error):
     trace = scripted_trace(6, TWO_REGULAR_6, slots)
-    with pytest.raises(ReplayMismatchError, match=f"^{error}$"):
-        audit_trace(trace)
+    for read in (audit_trace, trace_to_dict):
+        with pytest.raises(ReplayMismatchError, match=f"^{error}$"):
+            read(trace)
     assert_replays_agree(trace)
 
 
 def test_board_replay_rejects_a_stale_total_at_the_same_step():
-    # The second trace's stale step also places vertex 5 on a 4-slot board,
-    # which raises IndexError: the stale total is still the error reported.
-    stale = "^step 4 stored edge-edge total is stale$"
-    for trace in (
-        scripted_trace(6, TWO_REGULAR_6, [6, 1, 4, 2, 5, 3], stale_at=4),
-        scripted_trace(4, [(1, 2), (3, 4), (2, 3), (1, 5)], [2, 4, 1, 3], stale_at=4),
-    ):
-        with pytest.raises(ReplayMismatchError, match=stale):
-            audit_trace(trace)
-        assert_replays_agree(trace)
+    trace = scripted_trace(6, TWO_REGULAR_6, [6, 1, 4, 2, 5, 3], stale_at=4)
+    for read in (audit_trace, trace_to_dict):
+        with pytest.raises(ReplayMismatchError, match="^step 4 stored edge-edge total is stale$"):
+            read(trace)
+    assert_replays_agree(trace)
 
 
 def test_board_replay_stops_arrow_audits_at_degree_overflow():
@@ -583,19 +586,22 @@ def test_board_replay_stops_arrow_audits_at_degree_overflow():
 
 
 @pytest.mark.parametrize(
-    "pairs, slots",
+    "pairs, slots, stale_at, error",
     [
-        ([(1, 2), (3, 5), (2, 4)], [1, 4, 2]),
+        ([(1, 2), (3, 5), (2, 4)], [1, 4, 2], None, "step 2: request (3,5) has a vertex above n=4"),
         # Vertex 1 overflows at step 3; the arrows stay undefined, and vertex
-        # 5 still raises at step 4.
-        ([(1, 2), (1, 3), (1, 4), (2, 5)], [1, 2, 3, 4]),
+        # 5 is still refused at step 4.
+        ([(1, 2), (1, 3), (1, 4), (2, 5)], [1, 2, 3, 4], None, "step 4: request (2,5) has a vertex above n=4"),
+        # The refused placement is reported, not the stale total of its step,
+        # which the board never counts.
+        ([(1, 2), (3, 4), (2, 3), (1, 5)], [2, 4, 1, 3], 4, "step 4: request (1,5) has a vertex above n=4"),
     ],
 )
-def test_board_replay_raises_index_error_on_a_vertex_above_n_for_every_audit_subset(pairs, slots):
-    # The board keeps every vertex's degree, also past an overflow.
-    trace = scripted_trace(4, pairs, slots)
-    with pytest.raises(IndexError):
-        audit_trace(trace)
+def test_board_replay_refuses_a_vertex_above_n_at_its_step(pairs, slots, stale_at, error):
+    trace = scripted_trace(4, pairs, slots, stale_at)
+    for read in (audit_trace, trace_to_dict):
+        with pytest.raises(ReplayMismatchError, match=f"^{re.escape(error)}$"):
+            read(trace)
     assert_replays_agree(trace)
 
 
@@ -655,17 +661,55 @@ def test_board_count_matches_oracles_after_degree_overflow(slots):
     assert halves == (2 if slots == SHUFFLED_9 else 0)
 
 
-@pytest.mark.parametrize("placed_slot, slot", [(1, 3), (4, 2)])
-def test_board_counts_a_placement_before_a_vertex_above_n_raises(placed_slot, slot):
-    # (1,5) right of (3,4) crosses it twice, as it does left of it; the
-    # first case counts from the placed requests on the right (none), the
-    # second from those on the left (none).
-    board = ReplayBoard(4)
-    board.place(Request(3, 4), placed_slot)
-    with pytest.raises(IndexError):
-        board.place(Request(1, 5), slot)
-    assert board.edge_edge_total == 2
-    assert added_crossings([(placed_slot, Request(3, 4))], Request(1, 5), slot) == 2
+BOARD_5 = {1: Request(3, 4), 4: Request(2, 5), 3: Request(1, 3)}
+
+
+def board_lists(board):
+    """Copies of everything a placement edits on the board."""
+    lv = None if board.lv is None else list(board.lv)
+    return (
+        list(board.by_slot),
+        list(board.free),
+        list(board.degree),
+        lv,
+        list(board.ends),
+        board.edge_edge_total,
+    )
+
+
+@pytest.mark.parametrize(
+    "request_, slot, error",
+    [
+        (Request(1, 2), 0, SlotRangeError("slot 0 out of range 1..5")),
+        (Request(1, 2), 6, SlotRangeError("slot 6 out of range 1..5")),
+        (Request(1, 2), 4, SlotOccupiedError("slot 4 is already fulfilled")),
+        # The slot is checked before the vertex.
+        (Request(1, 6), 1, SlotOccupiedError("slot 1 is already fulfilled")),
+        # Slot 2 has fewer placed requests on its left, slot 5 on its right:
+        # the vertex is refused before either side is counted.
+        (Request(1, 6), 2, ValueError("request (1,6) has a vertex above n=5")),
+        (Request(1, 6), 5, ValueError("request (1,6) has a vertex above n=5")),
+    ],
+    ids=[
+        "slot-0",
+        "slot-n+1",
+        "occupied",
+        "occupied-and-vertex-above-n",
+        "vertex-above-n-left",
+        "vertex-above-n-right",
+    ],
+)
+def test_board_refuses_a_placement_before_it_edits_anything(request_, slot, error):
+    board = ReplayBoard.of(PlacementState(n=5, placed=BOARD_5))
+    before = board_lists(board)
+    with pytest.raises(ValueError) as refused:
+        board.place(request_, slot)
+    assert (type(refused.value), str(refused.value)) == (type(error), str(error))
+    assert board_lists(board) == before
+    # The board goes on as if the refused call had never been made.
+    board.place(Request(1, 2), 2)
+    fresh = ReplayBoard.of(PlacementState(n=5, placed={**BOARD_5, 2: Request(1, 2)}))
+    assert board_lists(board) == board_lists(fresh)
 
 
 def double_cross_state(n, pairs, slots):
