@@ -4,7 +4,7 @@ request source (a fixed instance or an adaptive adversary).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Union
 
@@ -77,25 +77,22 @@ def barycenter_choose(board: ReplayBoard, request: Request) -> int:
 
 def greedy_scores(board: ReplayBoard, request: Request) -> dict[int, int]:
     """Score every free slot t of the board in one pass: the total
-    edge-edge plus edge-arrow crossings with `request` placed at t.
+    edge-edge plus edge-arrow crossings with `request` placed at t, minus
+    that total at the leftmost free slot.
 
     With r = (a, b) and `lv` the unfulfilled vertices once r is placed
     (the same for every t), the candidate's arrows are `lv` paired with the
-    doubled free-slot list minus t's two entries. Take a placed slot s with
-    f free slots left of it. If t lies left of s (t is the j-th free slot,
-    j < f), 2f - 2 arrows point left of s, and otherwise 2f; either way the
-    arrows crossing an edge at s are one contiguous run
-    (`replay.arrows_crossing`). The new edge (a, t) crosses an edge (v, s)
-    when v < a if t lies left of s, and when v > a if t lies right of it;
-    likewise (b, t). So each placed slot adds one value to the score of
-    every t left of it and another to that of every t right of it, and one
-    difference array over the free slots sums them all. The arrows crossing
-    the new edges are the runs of `lv` against 2j arrows pointing left of
-    t. The board's own crossings are its running total.
+    doubled free-slot list minus t's two entries. Moving r from the j-th
+    free slot to the next one moves four segments: its edges (a, .) and
+    (b, .) one free slot right, and the arrows u = lv[2j] and w = lv[2j + 1]
+    from that slot back to the j-th. Only the crossings with the placed
+    edges between the two slots change, by sgn(v - a) + sgn(v - b)
+    - sgn(v - u) - sgn(v - w) for each vertex end v there, and the moving
+    edges and arrows swap sides, by sgn(u - a) + sgn(u - b) + sgn(w - a)
+    + sgn(w - b). A table over 1..n holds sgn(v - a) + sgn(v - b).
 
     A board whose candidates have undefined arrows raises the error
-    `propagation.arrows` raises for them. O(n) list work plus two
-    bisections per placed edge.
+    `propagation.arrows` raises for them. O(n) comparisons.
     """
     free = _free_or_raise(board)
     a, b = request.a, request.b
@@ -108,39 +105,25 @@ def greedy_scores(board: ReplayBoard, request: Request) -> dict[int, int]:
     lv = board.lv.copy()
     del lv[bisect_left(lv, a)]
     del lv[bisect_left(lv, b)]
-    total = board.edge_edge_total
-    step = [0] * (len(free) + 1)
-    for i, (s, q) in enumerate(board.by_slot):
-        f = s - 1 - i
-        right = 2 * f
-        left = right - 2
-        qa, qb = q.a, q.b
-        # The run lengths of `replay.arrows_crossing` at both splits, with
-        # one pair of bisections per edge.
-        lo, hi = bisect_left(lv, qa), bisect_right(lv, qa)
-        on_left = left - hi if left > hi else lo - left if lo > left else 0
-        on_right = right - hi if right > hi else lo - right if lo > right else 0
-        lo, hi = bisect_left(lv, qb), bisect_right(lv, qb)
-        on_left += left - hi if left > hi else lo - left if lo > left else 0
-        on_right += right - hi if right > hi else lo - right if lo > right else 0
-        on_left += (qa < a) + (qa < b) + (qb < a) + (qb < b)
-        on_right += (qa > a) + (qa > b) + (qb > a) + (qb > b)
-        # For f = 0 no free slot lies left of s, and on_left cancels at once.
-        total += on_left
-        step[f] += on_right - on_left
-    lo_a, hi_a = bisect_left(lv, a), bisect_right(lv, a)
-    lo_b, hi_b = bisect_left(lv, b), bisect_right(lv, b)
-    scores = {}
-    for j, t in enumerate(free):
-        total += step[j]
-        k = 2 * j
-        scores[t] = total + max(k - hi_a, lo_a - k, 0) + max(k - hi_b, lo_b - k, 0)
+    side = [-2] * a + [-1] + [0] * (b - a - 1) + [1] + [2] * (board.n - b)
+    by_slot = board.by_slot
+    score = 0
+    scores = {free[0]: 0}
+    for j in range(len(free) - 1):
+        u, w = lv[2 * j], lv[2 * j + 1]
+        score += side[u] + side[w]
+        for _, q in by_slot[free[j] - 1 - j : free[j + 1] - 2 - j]:
+            x, y = q.a, q.b
+            score += side[x] + side[y] + (x < u) - (x > u) + (x < w) - (x > w)
+            score += (y < u) - (y > u) + (y < w) - (y > w)
+        scores[free[j + 1]] = score
     return scores
 
 
 def greedy_choose(board: ReplayBoard, request: Request) -> int:
     """Pick the free slot whose insertion minimizes total edge-edge plus
-    edge-arrow crossings, as scored by `greedy_scores`. `min` keeps the
+    edge-arrow crossings. `greedy_scores` shifts every score by the same
+    constant, which leaves the minimizers as they are. `min` keeps the
     first of equal scores in the ascending scan, so ties go to the leftmost
     slot; a single free slot is taken without scoring."""
     if len(board.free) == 1:

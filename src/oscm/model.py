@@ -191,7 +191,8 @@ def instance_from_dict(data: dict) -> Instance:
     request that is not a two-element list, raises ValueError. An optional
     "k" must be the integer 2, as every request is a pair. A key other than
     the four `instance_to_dict` writes is refused, so a misspelt
-    "regularity" cannot skip its check."""
+    "regularity" cannot skip its check, and so is a "regularity" other than
+    a `RegularityClass` value."""
     if not isinstance(data, dict):
         raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
     if unknown := [key for key in data if key not in ("n", "k", "regularity", "requests")]:
@@ -200,13 +201,16 @@ def instance_from_dict(data: dict) -> Instance:
         raise ValueError("instance is missing " + " and ".join(map(repr, missing)))
     if "k" in data and _strict_int(data["k"], "k") != 2:
         raise ValueError(f"k must be 2, as requests are pairs, got {data['k']}")
+    kinds = tuple(kind.value for kind in RegularityClass)
+    if (regularity := data.get("regularity", "general")) not in kinds:
+        raise ValueError(f"regularity must be {' or '.join(map(repr, kinds))}, got {regularity!r}")
     requests = data["requests"]
     if not isinstance(requests, (list, tuple)):
         raise ValueError(f"requests must be a list of pairs, got {requests!r}")
     inst = Instance(
         n=_strict_int(data["n"], "n"),
         requests=tuple(_request_from_pair(pair, idx) for idx, pair in enumerate(requests, start=1)),
-        regularity_class=RegularityClass(data.get("regularity", "general")),
+        regularity_class=RegularityClass(regularity),
     )
     violations = validate_instance(inst)
     if violations:

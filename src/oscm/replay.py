@@ -112,10 +112,10 @@ class ReplayBoard:
     applied whole or not at all.
 
     Request sources and algorithms read the live lists `free`, `degree`
-    and `by_slot` (greedy also `lv` and `edge_edge_total`) and must not
-    edit them. A placement is a few bisections and list edits, plus a
-    pass over the placed requests on the shorter side of its slot for the
-    crossings it adds: none at either end of the layout.
+    and `by_slot` (greedy also `lv`) and must not edit them. A placement
+    is a few bisections and list edits, plus a pass over the placed
+    requests on the shorter side of its slot for the crossings it adds:
+    none at either end of the layout.
     """
 
     def __init__(self, n: int):

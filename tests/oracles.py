@@ -162,11 +162,13 @@ def edge_arrow_crossings(state):
 
 
 def sweep_greedy_scores(state, request):
-    """`greedy_scores` as it was before the board: every free slot t of a
-    `PlacementState` scored in one pass from four `segment_crossings` sweeps
-    (board, new edges, and X[k] and Y[k], the placed edges crossing
-    (lv[k], ls[k]) and (lv[k], ls[k + 2])). If t is the j-th free slot,
-    arrow k points at ls[k] for k < 2j and at ls[k + 2] otherwise."""
+    """Greedy's absolute scores, the total crossings with `request` at each
+    free slot, which `greedy_scores` returns less the leftmost free slot's.
+    Every free slot t of a `PlacementState` is scored in one pass from four
+    `segment_crossings` sweeps (board, new edges, and X[k] and Y[k], the
+    placed edges crossing (lv[k], ls[k]) and (lv[k], ls[k + 2])). If t is
+    the j-th free slot, arrow k points at ls[k] for k < 2j and at ls[k + 2]
+    otherwise."""
     free = free_slots(state)
     lv = [v for v, _ in scratch_arrows(apply(state, request, free[0]))]
     ls = unfulfilled_slots(state)

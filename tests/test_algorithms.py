@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -181,14 +182,31 @@ def naive_greedy_scores(state, request):
     return scores
 
 
+def relative(scores):
+    """Absolute scores less the leftmost free slot's, the form
+    `greedy_scores` returns; an error outcome passes through."""
+    if not isinstance(scores, dict):
+        return scores
+    base = scores[min(scores)]
+    return {t: score - base for t, score in scores.items()}
+
+
+def leftmost_argmin(scores):
+    return min(scores, key=lambda t: (scores[t], t))
+
+
 def checked_greedy():
     # Greedy with every decision cross-checked against both oracles on the
     # live board, so that adaptive sources are checked along greedy's own game.
     def choose(board, request):
         state = PlacementState(n=board.n, placed=dict(board.by_slot))
-        expected = naive_greedy_scores(state, request)
-        assert greedy_scores(board, request) == expected == sweep_greedy_scores(state, request)
-        return GREEDY.choose(board, request)
+        naive = naive_greedy_scores(state, request)
+        expected = relative(naive)
+        assert greedy_scores(board, request) == expected
+        assert relative(sweep_greedy_scores(state, request)) == expected
+        slot = GREEDY.choose(board, request)
+        assert slot == leftmost_argmin(naive)
+        return slot
 
     return OnlineAlgorithm(name="checked_greedy", choose=choose)
 
@@ -225,7 +243,9 @@ def test_greedy_scores_on_partial_random_boards():
         state = empty_state(n)
         for req in inst.requests:
             got = greedy_scores(ReplayBoard.of(state), req)
-            assert got == naive_greedy_scores(state, req) == sweep_greedy_scores(state, req)
+            naive = naive_greedy_scores(state, req)
+            assert got == relative(naive) == relative(sweep_greedy_scores(state, req))
+            assert GREEDY.choose(ReplayBoard.of(state), req) == leftmost_argmin(naive)
             state = apply(state, req, rng.choice(free_slots(state)))
 
 
@@ -252,10 +272,11 @@ def requests_on_filled_boards(draw):
 def test_greedy_scores_match_oracles_on_random_boards(case):
     state, request = case
     got = outcome(greedy_scores, ReplayBoard.of(state), request)
-    assert got == outcome(naive_greedy_scores, state, request)
-    assert got == outcome(sweep_greedy_scores, state, request)
-    if isinstance(got, dict) and len(got) > 1:
-        assert GREEDY.choose(ReplayBoard.of(state), request) == min(got, key=got.__getitem__)
+    naive = outcome(naive_greedy_scores, state, request)
+    assert got == relative(naive)
+    assert got == relative(outcome(sweep_greedy_scores, state, request))
+    if isinstance(naive, dict) and len(naive) > 1:
+        assert GREEDY.choose(ReplayBoard.of(state), request) == leftmost_argmin(naive)
 
 
 def test_greedy_degree_overflow_matches_oracle():
@@ -290,6 +311,31 @@ def test_greedy_single_free_slot_skips_scoring():
     # With one slot left the choice is forced, even where arrows are undefined.
     state = apply(apply(empty_state(3), Request(1, 2), 1), Request(1, 3), 2)
     assert GREEDY.choose(ReplayBoard.of(state), Request(1, 2)) == 3
+
+
+def pinned_greedy_games():
+    for n in range(2, 41):
+        for seed in range(5):
+            yield random_two_regular(n, seed)
+    for n in (80, 160):
+        for seed in range(2):
+            yield random_two_regular(n, seed)
+    for rounds in range(1, 11):
+        yield thm2_adversary(rounds)
+    for n in range(4, 41, 2):
+        yield thm1_adversary(n)
+        yield fig8_instance(n)
+
+
+def test_greedy_traces_match_pinned_sha256():
+    # Every step of greedy's games on a seed grid and the three adversaries,
+    # tie-breaks included: a scorer that changes any choice changes the digest.
+    digest = hashlib.sha256()
+    for source in pinned_greedy_games():
+        for s in play(source, GREEDY).steps:
+            digest.update(f"{s.request.a},{s.request.b}@{s.slot}:{s.edge_edge_total};".encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == "7b543aae40c55370b016960dd1dfe6a95115167c5757132d8e934a4b7ec15ef7"
 
 
 def test_edge_arrow_crossings_matches_naive_count():

@@ -230,6 +230,12 @@ def test_user_errors_exit_2(tmp_path, capsys):
     bad.write_text('{"n": 2, "requests": [[1, 2], [1, 2]], "regularty": "two_regular"}')
     assert main(["run", "--algo", "greedy", "--instance", str(bad)]) == 2
     assert capsys.readouterr().err == "error: instance has unknown key 'regularty'\n"
+    for value, shown in [('"2reg"', "'2reg'"), ("[1]", "[1]"), ("null", "None")]:
+        bad.write_text(f'{{"n": 2, "requests": [[1, 2], [1, 2]], "regularity": {value}}}')
+        assert main(["run", "--algo", "greedy", "--instance", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: regularity must be 'general' or 'two_regular', got {shown}\n"
+        )
     assert main(["adversary", "--name", "thm1", "--n", "3", "--algo", "greedy"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     for sizes, error in [

@@ -156,6 +156,18 @@ def test_instance_from_dict_rejects_invalid():
             "instance has unknown key 'regularty'",
         ),
         ({"n": 3, "requests": [], "K": 2, "seed": 1}, "instance has unknown key 'K' and 'seed'"),
+        (
+            {"n": 2, "requests": [[1, 2], [1, 2]], "regularity": "2reg"},
+            "regularity must be 'general' or 'two_regular', got '2reg'",
+        ),
+        (
+            {"n": 2, "requests": [[1, 2], [1, 2]], "regularity": [1]},
+            r"regularity must be 'general' or 'two_regular', got \[1\]",
+        ),
+        (
+            {"n": 2, "requests": [[1, 2], [1, 2]], "regularity": None},
+            "regularity must be 'general' or 'two_regular', got None",
+        ),
     ],
 )
 def test_instance_from_dict_rejects_coercible_values(data, message):
@@ -164,7 +176,8 @@ def test_instance_from_dict_rejects_coercible_values(data, message):
     # a "k" other than 2 was ignored, and so was an unknown key, so that a
     # misspelt "regularity" loaded a general instance without the 2-regular
     # check (spelt right, the first document is refused: vertex 1 appears
-    # 3 times).
+    # 3 times), and a "regularity" outside the two classes was refused in
+    # Enum's words, naming neither the key nor the accepted values.
     with pytest.raises(ValueError, match=f"^{message}$"):
         instance_from_dict(data)
 
