@@ -4,12 +4,12 @@ Library layout:
 
 - :mod:`oscm.model` — instances, requests, and placement states as plain records.
 - :mod:`oscm.crossings` — exact crossing counts and the pair taxonomy.
-- :mod:`oscm.propagation` — propagation arrows and state auditors, read off a board.
+- :mod:`oscm.propagation` — the one layout engine, `ReplayBoard`, that games are played,
+  replayed, audited and rendered on, and the propagation arrows and state auditors read
+  off it.
 - :mod:`oscm.algorithms` — online algorithms and the game loop.
 - :mod:`oscm.offline` — the offline optimum: sorted-order closed form and exponential oracle.
 - :mod:`oscm.adversaries` — adversarial request sources.
-- :mod:`oscm.replay` — the one layout engine: the board that games are played, replayed,
-  audited and rendered on.
 - :mod:`oscm.harness` — experiments, audits, sweeps, reports.
 - :mod:`oscm.render` — deterministic SVG rendering.
 """

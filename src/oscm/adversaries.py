@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping, Optional
 
 from .model import Instance, RegularityClass, Request, make_request
-from .replay import ReplayBoard
+from .propagation import ReplayBoard
 
 
 class ProtocolError(RuntimeError):

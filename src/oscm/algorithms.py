@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Union
 
 from .model import Instance, PlacementState, Request, vertex_range_error
-from .propagation import degree_overflow_error
-from .replay import ReplayBoard
+from .propagation import ReplayBoard, degree_overflow_error
 
 
 class NoFreeSlotError(RuntimeError):

@@ -1,10 +1,11 @@
 """Command-line interface: play games, run adversaries, print an
 instance's optimum with a witness, audit traces, benchmark sweeps, and
-render states to SVG. `run` and `adversary` score with `score_trace`'s
-default, the optimum the game's pair-kind counts give, and `opt` prints the
-sorted-order optimum and its witness (`offline.sorted_order_opt`), all
-exact at every size. `bench` scores against the exponential oracle
-(`harness.sweep`), so it refuses sizes above `offline.MAX_N`.
+render states to SVG. `run`, `adversary` and `bench` score with
+`harness.run_experiment`, against the optimum the game's pair-kind counts
+give, and `opt` prints the sorted-order optimum and its witness
+(`offline.sorted_order_opt`), all exact at every size. `bench`
+(`harness.sweep`) also checks each optimum against the exponential oracle
+at sizes up to `offline.MAX_N`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .algorithms import ALGORITHMS, get_algorithm, play
 from .harness import (
     audit_trace,
     replayed_crossings,
-    score_trace,
+    run_experiment,
     sweep,
     write_csv,
     write_json,
@@ -86,9 +87,7 @@ def _print_report(report) -> None:
 def _play_and_report(source, source_id: str, args) -> int:
     """Play `source` under `--algo`, then score, print and write the game
     against the exact optimum of the instance it realized."""
-    algorithm = get_algorithm(args.algo)
-    trace = play(source, algorithm)
-    report = score_trace(trace, algorithm.name, source_id)
+    report, trace = run_experiment(get_algorithm(args.algo), source, source_id)
     _print_report(report)
     print("  opt basis: exact")
     if args.report:

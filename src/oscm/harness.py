@@ -2,8 +2,8 @@
 adversaries, scores each game against the exact optimum its pair-kind
 counts give, audits traces for the invariants the greedy algorithm is
 supposed to maintain, and aggregates sweeps into CSV/JSON reports. `sweep`
-alone scores against the exponential oracle (`offline.brute_force_opt`),
-so it refuses sizes above `offline.MAX_N`.
+also checks each optimum against the exponential oracle
+(`offline.brute_force_opt`) at the sizes it runs at, up to `offline.MAX_N`.
 
 Greedy does not always maintain them: on random 2-regular games, 5 of 400
 traces at n=10 have a double-cross finding and 1 of 50 at n=80 a gap
@@ -26,8 +26,8 @@ from typing import Optional, Sequence, Union
 from .algorithms import OnlineAlgorithm, Trace, play
 from .crossings import PairKind
 from .model import random_two_regular
-from .offline import MAX_N, OracleSizeError, brute_force_opt
-from .replay import ReplayBoard
+from .offline import MAX_N, brute_force_opt
+from .propagation import ReplayBoard
 
 
 class ReplayMismatchError(RuntimeError):
@@ -229,8 +229,10 @@ def run_experiment(
 
 def sweep(algorithm: OnlineAlgorithm, ns: Sequence[int], trials: int, seed: int) -> SweepResult:
     """Play `trials` random 2-regular games with sizes drawn from `ns`,
-    each scored against the exponential oracle (`offline.brute_force_opt`);
-    a size above `offline.MAX_N` raises `OracleSizeError` before any game.
+    each scored by `run_experiment` against the optimum its pair-kind
+    counts give. At sizes up to `offline.MAX_N` the exponential oracle
+    (`offline.brute_force_opt`) checks that optimum, and a disagreement is
+    a bug: it raises RuntimeError naming the trial's source.
 
     Fully deterministic for a fixed seed: the master RNG fixes each trial's
     size and instance seed up front, so trials could run concurrently and
@@ -240,8 +242,6 @@ def sweep(algorithm: OnlineAlgorithm, ns: Sequence[int], trials: int, seed: int)
         raise ValueError(f"need trials >= 1, got {trials}")
     if not ns:
         raise ValueError("need at least one size in ns")
-    if max(ns) > MAX_N:
-        raise OracleSizeError(f"n={max(ns)} exceeds the exhaustive-search bound {MAX_N}")
     rng = random.Random(seed)
     plan = [(rng.choice(list(ns)), rng.randrange(2**32)) for _ in range(trials)]
     records = []
@@ -251,8 +251,14 @@ def sweep(algorithm: OnlineAlgorithm, ns: Sequence[int], trials: int, seed: int)
     for index, (n, inst_seed) in enumerate(plan):
         inst = random_two_regular(n, inst_seed)
         source_id = f"random_two_regular(n={n}, seed={inst_seed})"
-        opt_value = brute_force_opt(inst).opt_crossings
-        report, _ = run_experiment(algorithm, inst, source_id, opt_value)
+        report, _ = run_experiment(algorithm, inst, source_id)
+        if n <= MAX_N:
+            oracle = brute_force_opt(inst).opt_crossings
+            if oracle != report.opt_crossings:
+                raise RuntimeError(
+                    f"{source_id}: the exact oracle gives opt={oracle}, "
+                    f"the pair-kind counts opt={report.opt_crossings}"
+                )
         records.append(TrialRecord(index=index, instance_seed=inst_seed, report=report))
         for key, count in report.pair_type_histogram.items():
             histogram[key] += count
@@ -303,19 +309,6 @@ def trace_to_dict(trace: Trace) -> dict:
     return {"n": trace.n, "steps": steps}
 
 
-_CSV_FIELDS = [
-    "trial",
-    "seed",
-    "n",
-    "alg",
-    "source",
-    "alg_crossings",
-    "opt_crossings",
-    "ratio",
-    "violations",
-]
-
-
 def _csv_row(trial: int, seed, report: RatioReport) -> dict:
     return {
         "trial": trial,
@@ -331,14 +324,15 @@ def _csv_row(trial: int, seed, report: RatioReport) -> dict:
 
 
 def write_csv(reports: Union[RatioReport, SweepResult], path: str) -> None:
+    """One `_csv_row` per report, under a header of the row's keys."""
+    if isinstance(reports, SweepResult):
+        rows = [_csv_row(rec.index, rec.instance_seed, rec.report) for rec in reports.trials]
+    else:
+        rows = [_csv_row(0, None, reports)]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        if isinstance(reports, SweepResult):
-            for rec in reports.trials:
-                writer.writerow(_csv_row(rec.index, rec.instance_seed, rec.report))
-        else:
-            writer.writerow(_csv_row(0, None, reports))
+        writer.writerows(rows)
 
 
 def write_json(

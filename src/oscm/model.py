@@ -91,7 +91,7 @@ def validate_instance(inst: Instance) -> list[str]:
 @dataclass(frozen=True)
 class PlacementState:
     """A partial assignment of requests to slots during an online game: a
-    plain record, whose layout is read on a `replay.ReplayBoard`."""
+    plain record, whose layout is read on a `propagation.ReplayBoard`."""
 
     n: int
     placed: Mapping[int, Request] = field(default_factory=dict)

@@ -1,23 +1,32 @@
-"""Propagation arrows: a greedy matching of missing vertex degrees to free
-slot capacity that lower-bounds the crossings still to come.
+"""The library's one layout engine and the propagation arrows read off it.
 
-The arrow set pairs the ordered list of unfulfilled vertices (each vertex
+`ReplayBoard` is a mutable board that `algorithms.play` drives, that
+`harness` replays a trace on for the audits and the per-step edge-arrow
+counts, and that `render` and the per-state functions here load a single
+state on. It edits sorted lists in place as each request is placed, so a
+step reads the board's lists instead of a new `PlacementState` and a new
+arrow set. Request sources and algorithms read `free`, `degree` and
+`by_slot` directly. Each audit's finding text comes from one helper here.
+
+The propagation arrows are a greedy matching of missing vertex degrees to
+free slot capacity that lower-bounds the crossings still to come. The
+arrow set pairs the ordered list of unfulfilled vertices (each vertex
 repeated once per missing edge) with the ordered list of unfulfilled slots
 (each free slot repeated twice), position by position. Consecutive arrows
 are monotone in both coordinates, so arrows never cross each other.
 
-Also provides two state auditors: one for the forbidden double-crossing
-configurations the greedy algorithm provably avoids, and one for the flow
+`arrows`, `audit_no_double_cross` and `audit_equator` load one
+`PlacementState` on a board and read its arrows, the double-crossing
+configurations the greedy algorithm was believed to avoid, and the flow
 balance identity that holds for every reachable state.
-
-Each function here loads the state on a `replay.ReplayBoard`, the engine
-that `play` and the trace audits run on, and reads the board's arrows.
 """
 
 from __future__ import annotations
 
-from .model import PlacementState
-from .replay import ReplayBoard
+from bisect import bisect_left, bisect_right, insort
+
+from .crossings import PairKind
+from .model import PlacementState, Request, unavailable_slot_error, vertex_range_error
 
 
 class DegreeOverflowError(ValueError):
@@ -28,6 +37,271 @@ def degree_overflow_error(deg: list[int]) -> DegreeOverflowError:
     """The error for the least vertex whose degree in `deg` exceeds two."""
     v = next(v for v, d in enumerate(deg) if d > 2)
     return DegreeOverflowError(f"vertex {v} has degree {deg[v]} > 2")
+
+
+def gap_pair_findings(request, slot, items, left_stop, right_start, prefix: str = "") -> list[str]:
+    """The gap findings of `request` at `slot`, each starting with
+    `prefix`: the 4-0 or 3-0 pairs it forms in crossing order with a free
+    slot between, against the (slot, request) pairs items[:left_stop], left
+    of it with a free slot between, and items[right_start:], right of it
+    with a free slot between.
+
+    With L the request in the left slot and R the one in the right slot, a
+    pair is in crossing order (swapping it would remove every crossing)
+    exactly when L.a >= R.b. It then has 4 crossings as placed when
+    L.a > R.b and 3 when L.a = R.b, as the two edges at that vertex meet
+    without crossing.
+    """
+    a, b = request.a, request.b
+    pairs = [(s, q, q.a > b) for s, q in items[:left_stop] if q.a >= b]
+    pairs += [(s, q, a > q.b) for s, q in items[right_start:] if a >= q.b]
+    return [
+        f"{prefix}{(PairKind.FOUR_ZERO if four else PairKind.THREE_ZERO).name} pair "
+        f"({a},{b})@{slot} vs ({q.a},{q.b})@{other_slot} with a free slot between"
+        for other_slot, q, four in pairs
+    ]
+
+
+def cut_flows(n: int, segments) -> list[tuple[int, int]]:
+    """Per diagonal cut i = 1..n, the segments crossing it as
+    (left-to-right, right-to-left).
+
+    A segment is an edge or arrow (v, s). Left-to-right means v <= i < s,
+    right-to-left means s <= i < v, so each segment crosses one contiguous
+    run of cuts; one difference array per direction counts them all in a
+    single sweep, O(n + |segments|).
+    """
+    diff_lr = [0] * (n + 2)
+    diff_rl = [0] * (n + 2)
+    for v, s in segments:
+        for diff, lo, hi in ((diff_lr, v, s), (diff_rl, s, v)):
+            lo, hi = max(lo, 1), min(hi, n + 1)
+            if lo < hi:
+                diff[lo] += 1
+                diff[hi] -= 1
+    flows = []
+    lr = rl = 0
+    for i in range(1, n + 1):
+        lr += diff_lr[i]
+        rl += diff_rl[i]
+        flows.append((lr, rl))
+    return flows
+
+
+def arrows_crossing(lv, v, left) -> int:
+    """How many arrows of the sorted vertex list `lv` cross an edge (v, s)
+    when the first `left` arrows point left of s and the rest right of it.
+
+    The arrows form a chain monotone in both coordinates, so the ones
+    crossing the edge are one contiguous run: [bisect_right(lv, v), left),
+    vertex above v and slot left of s, or [left, bisect_left(lv, v)),
+    vertex below v and slot right of s. At most one of the two is not
+    empty.
+    """
+    return max(left - bisect_right(lv, v), bisect_left(lv, v) - left, 0)
+
+
+def _above_minus_below(items, a: int, b: int) -> int:
+    """Over the (slot, request) pairs `items`, the request ends above a
+    plus those above b, minus the ends below a and those below b."""
+    total = 0
+    for _, q in items:
+        x, y = q.a, q.b
+        total += (x > a) - (x < a) + (x > b) - (x < b)
+        total += (y > a) - (y < a) + (y > b) - (y < b)
+    return total
+
+
+class ReplayBoard:
+    """A layout kept on sorted lists while requests are placed one by one.
+
+    It keeps the placed (slot, request) pairs in slot order (`by_slot`),
+    the free slots ascending (`free`) and the running edge-edge crossing
+    total (`edge_edge_total`). Every slot 1..n is in exactly one of
+    `by_slot` and `free`, so the free slot free[k] has free[k] - 1 - k
+    placed slots left of it, and the i-th placed slot s (from 0) has
+    s - 1 - i free slots left of it.
+
+    It also keeps the vertex degrees (`degree`, index 0 unused), the
+    sorted unfulfilled-vertex list `lv` (each vertex once per missing
+    edge) and the sorted vertex ends of the placed edges (`ends`), which
+    count each placement's crossings and which the equator audit checks
+    against `slot_ends`. The propagation arrows are `lv` paired position
+    by position with the doubled free-slot list (`arrows`). Once a vertex
+    exceeds degree two the arrows are undefined, and `lv` is None from
+    then on; `ends` is still kept. `place` refuses an unavailable slot or
+    a vertex above n before it edits anything, so every placement is
+    applied whole or not at all.
+
+    Request sources and algorithms read the live lists `free`, `degree`
+    and `by_slot` (greedy also `lv`) and must not edit them. A placement
+    is a few bisections and list edits, plus a pass over the placed
+    requests on the shorter side of its slot for the crossings it adds:
+    none at either end of the layout.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.by_slot: list[tuple[int, Request]] = []
+        self.free = list(range(1, n + 1))
+        self.edge_edge_total = 0
+        self.degree = [0] * (n + 1)
+        # Each slot carries two segment ends (two edges if placed, two
+        # arrows if free), and on the empty board each vertex two arrows.
+        self.slot_ends = [v for v in range(1, n + 1) for _ in range(2)]
+        self.lv: list[int] | None = self.slot_ends.copy()
+        self.ends: list[int] = []
+
+    @classmethod
+    def of(cls, state: PlacementState) -> ReplayBoard:
+        """A board holding the placements of `state`, placed in slot order:
+        the first placement `place` refuses raises its error."""
+        board = cls(state.n)
+        for slot, request in sorted(state.placed.items()):
+            board.place(request, slot)
+        return board
+
+    def is_free(self, slot: int) -> bool:
+        k = bisect_left(self.free, slot)
+        return k < len(self.free) and self.free[k] == slot
+
+    def place(self, request: Request, slot: int) -> None:
+        """Record `request` at `slot`. An unavailable slot, then a vertex
+        above n, raises the error `model.apply` raises, and the board is
+        left as it was.
+
+        The new edges cross every placed edge on the left with a vertex
+        above theirs and every one on the right with a vertex below. Two
+        bisections of `ends` count the placed ends below a and b, as if
+        every placed request lay right of `slot`, or those above, as if
+        every one lay left of it. Only the placed requests on the shorter
+        side of `slot` are then visited, each moved to its true side by
+        the signs of its ends against a and b (`_above_minus_below`)."""
+        free = self.free
+        k = bisect_left(free, slot)
+        if k == len(free) or free[k] != slot:
+            raise unavailable_slot_error(self.n, slot)
+        a, b = request.a, request.b
+        if b > self.n:
+            raise vertex_range_error(self.n, request)
+        by_slot, ends = self.by_slot, self.ends
+        pos = slot - 1 - k
+        if 2 * pos <= len(by_slot):
+            below = bisect_left(ends, a) + bisect_left(ends, b)
+            added = below + _above_minus_below(by_slot[:pos], a, b)
+        else:
+            above = 2 * len(ends) - bisect_right(ends, a) - bisect_right(ends, b)
+            added = above - _above_minus_below(by_slot[pos:], a, b)
+        self.edge_edge_total += added
+        del free[k]
+        by_slot.insert(pos, (slot, request))
+        insort(ends, a)
+        insort(ends, b)
+        degree, lv = self.degree, self.lv
+        degree[a] += 1
+        degree[b] += 1
+        if lv is None:
+            return
+        if degree[a] > 2 or degree[b] > 2:
+            self.lv = None
+            return
+        del lv[bisect_left(lv, a)]
+        del lv[bisect_left(lv, b)]
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(v, s) for s, q in self.by_slot for v in (q.a, q.b)]
+
+    def arrows(self) -> list[tuple[int, int]]:
+        return list(zip(self.lv, [t for t in self.free for _ in range(2)]))
+
+    def edge_arrow_total(self) -> int:
+        """Crossings between the placed edges and the arrows: the i-th
+        placed slot s has 2(s - 1 - i) arrows pointing left of it."""
+        lv = self.lv
+        return sum(
+            arrows_crossing(lv, v, 2 * (s - 1 - i))
+            for i, (s, q) in enumerate(self.by_slot)
+            for v in (q.a, q.b)
+        )
+
+    def gap_findings(self, slot: int, prefix: str) -> list[str]:
+        """The gap findings of the request just placed at `slot`, each
+        starting with `prefix`. A placed slot left of `slot` has a free slot
+        between exactly when it lies left of the nearest free slot below
+        `slot`, and one right of it when it lies right of the nearest free
+        slot above; their placed-slot counts bound the two runs, with no
+        search. With k free slots left of `slot`, those are free[k - 1] and
+        free[k], and the request sits at by_slot[slot - 1 - k].
+        """
+        free, by_slot = self.free, self.by_slot
+        k = bisect_left(free, slot)
+        left_stop = free[k - 1] - k if k else 0
+        right_start = free[k] - k - 1 if k < len(free) else len(by_slot)
+        request = by_slot[slot - 1 - k][1]
+        return gap_pair_findings(request, slot, by_slot, left_stop, right_start, prefix)
+
+    def double_cross_findings(self, prefix: str = "") -> list[str]:
+        """The double-cross findings of the board, each starting with
+        `prefix`: two arrows into one free slot that both cross both edges
+        of a fulfilled slot.
+
+        The j-th free slot's two arrows are lv[2j] and lv[2j + 1], so both
+        its lower and its upper arrow vertex are nondecreasing in j. An
+        arrow into a slot left of the fulfilled slot (a, b) crosses both
+        edges when its vertex lies above b, one into a slot right of it
+        when its vertex lies below a. The i-th fulfilled slot s, counting
+        from 0, has split = s - 1 - i free slots left of it. So its left
+        targets whose lower vertex lies above b are a suffix of the first
+        split, and its right targets whose upper vertex lies below a a
+        prefix of the rest. Both are empty unless the nearest target on
+        that side qualifies, which is one comparison, and at most one side
+        does (lv[2 split - 2] <= lv[2 split + 1]); only then does one
+        bisection of `lv` find where the run ends. A target's finding text
+        up to the fulfilled slot is formatted once, when it first falls in
+        a run. So a call costs O(placed) comparisons, one bisection per
+        fulfilled slot with findings and O(1) list work per finding.
+        """
+        lv, free = self.lv, self.free
+        heads: list[str | None] = [None] * len(free)
+        findings = []
+        for i, (slot, req) in enumerate(self.by_slot):
+            split = slot - 1 - i
+            a, b = req.a, req.b
+            if split and lv[2 * split - 2] > b:
+                first, stop = (bisect_right(lv, b, 0, 2 * split - 2) + 1) // 2, split
+            elif split < len(free) and lv[2 * split + 1] < a:
+                first, stop = split, bisect_left(lv, a, 2 * split + 2) // 2
+            else:
+                continue
+            run = heads[first:stop]
+            # Only a run with a new target pays a Python loop over it.
+            if None in run:
+                for j in range(first, stop):
+                    if heads[j] is None:
+                        t = free[j]
+                        heads[j] = (
+                            f"{prefix}arrows [({lv[2 * j]}, {t}), ({lv[2 * j + 1]}, {t})] "
+                            f"into slot {t} each cross both edges of slot "
+                        )
+                run = heads[first:stop]
+            tail = f"{slot} ({a},{b})"
+            findings.extend([head + tail for head in run])
+        return findings
+
+    def equator_findings(self) -> list[str]:
+        """`audit_equator` on the board: one finding per cut i = 1..n
+        that the edges and arrows cross unequally in the two directions,
+        worded with both counts. The imbalance at cut i is
+        #(v <= i) - #(s <= i), so every cut balances when their sorted
+        vertex ends equal their slot ends; only when they differ are the
+        cuts counted."""
+        if sorted(self.ends + self.lv) == self.slot_ends:
+            return []
+        return [
+            f"cut (v<={i}, s<={i}): {lr} left-to-right vs {rl} right-to-left"
+            for i, (lr, rl) in enumerate(cut_flows(self.n, self.edges() + self.arrows()), start=1)
+            if lr != rl
+        ]
 
 
 def _arrow_board(state: PlacementState) -> ReplayBoard:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import PlacementState
-from .replay import ReplayBoard
+from .propagation import ReplayBoard
 
 _STYLE = (
     ".slot{fill:white;stroke:black;stroke-width:1.5}"

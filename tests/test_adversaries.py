@@ -23,7 +23,7 @@ from oscm.model import (
     validate_instance,
 )
 from oscm.offline import brute_force_opt
-from oscm.replay import ReplayBoard
+from oscm.propagation import ReplayBoard
 from oracles import free_slots, realized_instance
 
 

@@ -31,8 +31,7 @@ from oscm.model import (
     empty_state,
     random_two_regular,
 )
-from oscm.propagation import DegreeOverflowError, arrows
-from oscm.replay import ReplayBoard
+from oscm.propagation import DegreeOverflowError, ReplayBoard, arrows
 from oracles import (
     edge_arrow_crossings,
     edges_cross,

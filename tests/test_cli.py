@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from oscm.model import (
     save_instance,
     validate_instance,
 )
-from oscm.offline import brute_force_opt
+from oscm.offline import brute_force_opt, sorted_order_value
 
 
 @pytest.fixture
@@ -115,15 +116,41 @@ def test_bench_csv(tmp_path, capsys):
          "--seed", "1", "--report", str(report)]
     )
     assert code == 0
+    assert report.read_bytes().startswith(
+        b"trial,seed,n,alg,source,alg_crossings,opt_crossings,ratio,violations\r\n"
+    )
     assert len(list(csv.DictReader(report.read_text().splitlines()))) == 8
     assert "max_ratio=" in capsys.readouterr().out
 
 
-def test_bench_refuses_sizes_above_the_oracle_bound_at_every_seed(capsys):
-    for seed in ("0", "1", "2", "3"):
-        argv = ["bench", "--algo", "greedy", "--n", "4-10", "--trials", "1", "--seed", seed]
-        assert main(argv) == 2
-        assert capsys.readouterr() == ("", "error: n=10 exceeds the exhaustive-search bound 9\n")
+def test_bench_scores_sizes_above_the_oracle_bound(tmp_path, capsys):
+    report = tmp_path / "bench.json"
+    argv = ["bench", "--algo", "greedy", "--n", "9-12", "--trials", "4", "--seed", "1"]
+    assert main(argv + ["--report", str(report), "--format", "json"]) == 0
+    assert capsys.readouterr() == (
+        "greedy: trials=4 sizes=9-12 max_ratio=1.2857 mean_ratio=1.1314 violations=0\n",
+        "",
+    )
+    trials = json.loads(report.read_text())["trials"]
+    assert any(trial["n"] > 9 for trial in trials)
+    for trial in trials:
+        inst = random_two_regular(trial["n"], trial["seed"])
+        assert trial["opt_crossings"] == sorted_order_value(inst)
+
+
+def test_bench_exits_3_when_the_oracle_disagrees(monkeypatch, capsys):
+    import oscm.harness
+
+    def one_too_high(inst):
+        result = brute_force_opt(inst)
+        return replace(result, opt_crossings=result.opt_crossings + 1)
+
+    monkeypatch.setattr(oscm.harness, "brute_force_opt", one_too_high)
+    assert main(["bench", "--algo", "greedy", "--n", "4-6", "--trials", "2", "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first = captured.err.splitlines()[0]
+    assert first.startswith("internal error: RuntimeError: random_two_regular(n=")
 
 
 def test_bench_json_report(tmp_path):
@@ -378,10 +405,10 @@ def test_internal_errors_exit_3(error, monkeypatch, capsys):
     module, name = error.rsplit(".", 1)
     exc_type = getattr(importlib.import_module(module), name)
 
-    def broken_score_trace(*args, **kwargs):
+    def broken_run_experiment(*args, **kwargs):
         raise exc_type("counter bug")
 
-    monkeypatch.setattr(oscm.cli, "score_trace", broken_score_trace)
+    monkeypatch.setattr(oscm.cli, "run_experiment", broken_run_experiment)
     assert main(["adversary", "--name", "fig8", "--n", "4", "--algo", "greedy"]) == 3
     first, *rest = capsys.readouterr().err.splitlines()
     # str() of a KeyError quotes its key.

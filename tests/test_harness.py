@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -21,7 +22,7 @@ from oscm.harness import (
     write_json,
 )
 from oscm.model import Instance, Request, random_two_regular
-from oscm.offline import MAX_N, OracleSizeError, brute_force_opt, sorted_order_value
+from oscm.offline import MAX_N, brute_force_opt, sorted_order_value
 from oracles import realized_instance, unavoidable_lower_bound
 
 
@@ -136,11 +137,29 @@ def test_sweep_deterministic_and_validated():
         sweep(GREEDY, [4], trials=0, seed=0)
     with pytest.raises(ValueError, match="^need at least one size in ns$"):
         sweep(GREEDY, [], trials=3, seed=0)
-    # The oracle's size bound is checked before any game, so no seed can
-    # draw only sizes below it and pass.
-    for seed in range(6):
-        with pytest.raises(OracleSizeError, match="^n=10 exceeds the exhaustive-search bound 9$"):
-            sweep(GREEDY, range(4, 11), trials=1, seed=seed)
+    # Sizes above the oracle's bound are scored exactly too.
+    result = sweep(GREEDY, range(9, 13), trials=8, seed=1)
+    assert max(rec.report.n for rec in result.trials) > MAX_N
+    for rec in result.trials:
+        inst = random_two_regular(rec.report.n, rec.instance_seed)
+        assert rec.report.opt_crossings == sorted_order_value(inst)
+
+
+def test_sweep_raises_when_the_oracle_disagrees(monkeypatch):
+    import oscm.harness
+
+    def one_too_high(inst):
+        result = brute_force_opt(inst)
+        return replace(result, opt_crossings=result.opt_crossings + 1)
+
+    first = sweep(GREEDY, [5], trials=3, seed=2).trials[0].report
+    monkeypatch.setattr(oscm.harness, "brute_force_opt", one_too_high)
+    message = (
+        f"{first.source_id}: the exact oracle gives opt={first.opt_crossings + 1}, "
+        f"the pair-kind counts opt={first.opt_crossings}"
+    )
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        sweep(GREEDY, [5], trials=3, seed=2)
 
 
 def test_report_files(tmp_path):

@@ -15,8 +15,8 @@ from oscm.propagation import (
     arrows,
     audit_equator,
     audit_no_double_cross,
+    cut_flows,
 )
-from oscm.replay import cut_flows
 from oracles import free_slots, scratch_arrows, unfulfilled_slots, unfulfilled_vertices
 
 

@@ -52,11 +52,13 @@ from oscm.model import (
 )
 from oscm.propagation import (
     DegreeOverflowError,
+    ReplayBoard,
     arrows,
     audit_equator,
     audit_no_double_cross,
+    cut_flows,
+    gap_pair_findings,
 )
-from oscm.replay import ReplayBoard, cut_flows, gap_pair_findings
 from oracles import (
     added_crossings,
     edge_arrow_crossings,
