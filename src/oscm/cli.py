@@ -1,31 +1,26 @@
 """Command-line interface: play games, run adversaries, print an
 instance's optimum with a witness, audit traces, benchmark sweeps, and
-render states to SVG. `run`, `adversary` and `bench` score with
-`harness.run_experiment`, against the optimum the game's pair-kind counts
-give, and `opt` prints the sorted-order optimum and its witness
+render states to SVG. `run`, `adversary`, `audit` and `bench` score
+with `harness.run_experiment`, against the optimum the game's pair-kind
+counts give, and `opt` prints the sorted-order optimum and its witness
 (`offline.sorted_order_opt`), all exact at every size. `bench`
 (`harness.sweep`) also checks each optimum against the exponential oracle
-at sizes up to `offline.MAX_N`.
+at sizes up to `offline.MAX_N`. A reader that closes stdout early ends
+the command quietly with status 141.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import traceback
 from typing import Optional, Sequence
 
 from .adversaries import fig8_instance, thm1_adversary, thm2_adversary
 from .algorithms import ALGORITHMS, get_algorithm, play
-from .harness import (
-    audit_trace,
-    replayed_crossings,
-    run_experiment,
-    sweep,
-    write_csv,
-    write_json,
-)
+from .harness import run_experiment, sweep, write_csv, write_json
 from .model import empty_state, load_instance
 from .offline import sorted_order_opt
 from .render import RenderSpec, render_svg
@@ -122,17 +117,14 @@ def _cmd_opt(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    algorithm = get_algorithm(args.algo)
-    instance = load_instance(args.instance)
-    trace = play(instance, algorithm)
-    findings = audit_trace(trace)
+    report, _ = run_experiment(get_algorithm(args.algo), load_instance(args.instance))
     print(
-        f"{algorithm.name} on {args.instance}: "
-        f"{len(findings)} finding(s), final crossings={replayed_crossings(trace)}"
+        f"{report.alg_name} on {args.instance}: "
+        f"{report.violation_count} finding(s), final crossings={report.alg_crossings}"
     )
-    if findings:
-        print("  " + "\n  ".join(findings))
-    return 1 if findings else 0
+    if report.audit_findings:
+        print("  " + "\n  ".join(report.audit_findings))
+    return 1 if report.audit_findings else 0
 
 
 def _cmd_bench(args) -> int:
@@ -238,6 +230,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout early: silence the exit flush too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

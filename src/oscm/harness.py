@@ -155,7 +155,7 @@ def audit_trace(trace: Trace) -> list[str]:
     (possible for general, non-2-regular request sequences); both read the
     board's one arrow list. The replay checks every step's stored total, so
     once this returns, the last step's total is the game's checked crossing
-    count (`replayed_crossings`). Each finding is worded once, with its
+    count (`score_trace` reads it there). Each finding is worded once, with its
     "step <i>: " prefix, so a caller picks one audit's findings by their
     wording: "<KIND> pair (" for gaps, "arrows [" for double crosses and
     "cut (" for the equator.
@@ -169,13 +169,6 @@ def audit_trace(trace: Trace) -> list[str]:
         findings.extend(board.double_cross_findings(prefix))
         findings.extend(prefix + f for f in board.equator_findings())
     return findings
-
-
-def replayed_crossings(trace: Trace) -> int:
-    """The final layout's crossings as the last step stored them: 0 for an
-    empty trace. Only a trace `audit_trace` accepted is known to hold the
-    true count there."""
-    return trace.steps[-1].edge_edge_total if trace.steps else 0
 
 
 def score_trace(
@@ -192,15 +185,16 @@ def score_trace(
     `opt_value` replaces it, and the ratio reported is relative to whatever
     value the caller supplies.
 
-    The algorithm's crossing count is the last step's stored total, read
-    only after the replay of `audit_trace` has checked every step's total:
-    a stale total raises `ReplayMismatchError` instead of being reported.
+    The algorithm's crossing count is the last step's stored total (0 for
+    an empty trace), read only after the replay of `audit_trace` has
+    checked every step's total: a stale total raises `ReplayMismatchError`
+    instead of being reported.
     """
     histogram = pair_type_histogram(trace)
     if opt_value is None:
         opt_value = _histogram_opt(histogram)
     findings = audit_trace(trace)
-    alg_crossings = replayed_crossings(trace)
+    alg_crossings = trace.steps[-1].edge_edge_total if trace.steps else 0
     ratio, defined = _competitive_ratio(alg_crossings, opt_value)
     return RatioReport(
         alg_name=alg_name,

@@ -30,12 +30,16 @@ class RegularityClass(Enum):
 
 @dataclass(frozen=True, order=True)
 class Request:
-    """A 2-subset of bottom vertices, stored canonically with a < b."""
+    """A 2-subset of bottom vertices, stored canonically with a < b. The
+    endpoints are taken as they are: one that is not an int (a float, a
+    string or a bool) raises ValueError, as in `_strict_int`."""
 
     a: int
     b: int
 
     def __post_init__(self) -> None:
+        if type(self.a) is not int or type(self.b) is not int:
+            raise ValueError(f"request endpoints must be integers, got ({self.a!r}, {self.b!r})")
         if not (1 <= self.a < self.b):
             raise ValueError(f"request endpoints must satisfy 1 <= a < b, got ({self.a}, {self.b})")
 

@@ -1,7 +1,8 @@
 """Offline optimum of a request sequence.
 
 The (a, b)-sorted order is exactly optimal at every size (the proof is in
-`sorted_order_value`); `sorted_order_opt` adds its witness. The
+`sorted_order_value`). `sorted_order_opt` lays that order out and counts
+it once, and `sorted_order_value` returns that count without the witness. The
 exponential subset dynamic program (`brute_force_opt`) stays as the exact
 oracle that `harness.sweep` and the tests check the closed form against;
 `harness.score_trace` reads the same optimum from a game's pair-kind
@@ -116,16 +117,12 @@ def brute_force_opt(inst: Instance, max_n: int = MAX_N) -> OptResult:
     return OptResult(opt_crossings=opt, witness=Assignment(slot_of=tuple(slot_of)))
 
 
-def _sorted_order(requests) -> list[int]:
-    """Request indices in (a, b, index) order."""
-    return sorted(range(len(requests)), key=lambda i: (requests[i].a, requests[i].b, i))
-
-
 def sorted_order_value(inst: Instance) -> int:
     """The optimum: crossings of the assignment that sorts the m requests by
     (min, max) endpoint and fills slots 1..m left to right; sequence position
     breaks ties. Only the slots' order counts, so this is an assignment of
-    any instance, complete or not, of any size or degree.
+    any instance, complete or not, of any size or degree. It is
+    `sorted_order_opt`'s count, the one code path for this optimum.
 
     Proof that it is optimal, one pair of requests at a time:
     - Two requests (a, b) and (a', b') are comparable (a <= a', b <= b', or
@@ -135,17 +132,17 @@ def sorted_order_value(inst: Instance) -> int:
     - (a, b) order extends dominance, so every pair pays its minimum, and no
       layout pays less than the sum of the pairwise minima.
     """
-    requests = inst.requests
-    items = [(slot, requests[i]) for slot, i in enumerate(_sorted_order(requests), start=1)]
-    return total_crossings(items)
+    return sorted_order_opt(inst).opt_crossings
 
 
 def sorted_order_opt(inst: Instance) -> OptResult:
     """The optimum and its sorted-order witness: requests in (a, b, index)
     order fill slots 1..m. The value is the witness's own crossing count,
-    the one `sorted_order_value` counts."""
-    slot_of = [0] * len(inst.requests)
-    for slot, i in enumerate(_sorted_order(inst.requests), start=1):
+    which `sorted_order_value` returns."""
+    requests = inst.requests
+    order = sorted(range(len(requests)), key=lambda i: (requests[i].a, requests[i].b, i))
+    slot_of = [0] * len(requests)
+    for slot, i in enumerate(order, start=1):
         slot_of[i] = slot
     witness = Assignment(slot_of=tuple(slot_of))
-    return OptResult(opt_crossings=total_crossings(zip(slot_of, inst.requests)), witness=witness)
+    return OptResult(opt_crossings=total_crossings(zip(slot_of, requests)), witness=witness)

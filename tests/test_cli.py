@@ -3,7 +3,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,6 +222,45 @@ def test_findings_print_one_line_each(tmp_path, capsys):
     assert head.endswith(f"violations={len(findings)}")
     expected = [f"  finding: {finding}" for finding in findings]
     assert lines == expected + ["  opt basis: exact", ""]
+
+
+@pytest.mark.parametrize(
+    "algo, code, out, err",
+    [
+        ("greedy", 2, "", "error: vertex 1 has degree 3 > 2\n"),
+        ("barycenter", 0, "barycenter on inst.json: 0 finding(s), final crossings=3\n", ""),
+        ("first_fit", 0, "first_fit on inst.json: 0 finding(s), final crossings=3\n", ""),
+    ],
+)
+def test_audit_of_a_general_instance_above_degree_two(algo, code, out, err, tmp_path,
+                                                      monkeypatch, capsys):
+    # Greedy needs arrows, which a vertex of degree 3 leaves undefined; the
+    # baselines play on, and the audit skips its arrow audits there.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inst.json").write_text('{"n": 4, "requests": [[1, 2], [1, 3], [1, 4]]}')
+    assert main(["audit", "--algo", algo, "--instance", "inst.json"]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_a_reader_closing_stdout_early_exits_141_quietly(tmp_path):
+    # 10,396 findings, about 950 KB of stdout: far more than a pipe holds,
+    # so the audit is still writing when the reader closes its end.
+    save_instance(random_two_regular(60, seed=1), str(tmp_path / "inst60.json"))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "oscm.cli", "audit", "--algo", "first_fit",
+         "--instance", "inst60.json"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 141
+    assert header == "first_fit on inst60.json: 10396 finding(s), final crossings=3454\n"
+    assert err == ""
 
 
 def test_missing_instance_file_is_diagnosed(capsys):

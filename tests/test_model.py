@@ -26,6 +26,15 @@ def test_request_canonical_order():
         Request(0, 2)
 
 
+@pytest.mark.parametrize(
+    "a, b, shown", [(1.0, 2.0, "(1.0, 2.0)"), (True, 2, "(True, 2)"), (1, "2", "(1, '2')")]
+)
+def test_request_refuses_endpoints_that_are_not_ints(a, b, shown):
+    with pytest.raises(ValueError) as excinfo:
+        Request(a, b)
+    assert str(excinfo.value) == f"request endpoints must be integers, got {shown}"
+
+
 def test_validate_two_regular_ok():
     inst = Instance(
         n=4,
