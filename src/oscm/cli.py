@@ -69,10 +69,9 @@ def _write_report(report, args, trace=None) -> None:
 
 
 def _print_report(report) -> None:
-    ratio = f"{report.ratio:.4f}" if report.ratio_defined else "inf"
     print(
         f"{report.alg_name} vs {report.source_id}: "
-        f"alg={report.alg_crossings} opt={report.opt_crossings} ratio={ratio} "
+        f"alg={report.alg_crossings} opt={report.opt_crossings} ratio={report.ratio:.4f} "
         f"violations={report.violation_count}"
     )
     if report.audit_findings:

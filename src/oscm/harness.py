@@ -36,15 +36,28 @@ class ReplayMismatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class RatioReport:
+    """One scored game: what it measured. Its ratio is read off the two
+    counts."""
+
     alg_name: str
     source_id: str
     n: int
     alg_crossings: int
     opt_crossings: int
-    ratio: float
-    ratio_defined: bool
     pair_type_histogram: dict[str, int]
     audit_findings: tuple[str, ...]
+
+    @property
+    def ratio(self) -> float:
+        """ALG/OPT; at OPT = 0 it is 1.0 when ALG is also 0 and an undefined
+        infinity otherwise, which the writers show as `inf` (JSON: null)."""
+        if self.opt_crossings > 0:
+            return self.alg_crossings / self.opt_crossings
+        return 1.0 if self.alg_crossings == 0 else math.inf
+
+    @property
+    def ratio_defined(self) -> bool:
+        return self.ratio != math.inf
 
     @property
     def violation_count(self) -> int:
@@ -60,22 +73,28 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's trials; its totals are read off their reports."""
+
     alg_name: str
     trials: tuple[TrialRecord, ...]
-    max_ratio: float
-    mean_ratio: float
-    violation_count: int
-    histogram: dict[str, int]
 
+    @property
+    def max_ratio(self) -> float:
+        return max(rec.report.ratio for rec in self.trials)
 
-def _competitive_ratio(alg: int, opt: int) -> tuple[float, bool]:
-    """Ratio alg/opt; at opt = 0 it is 1.0 when alg is also 0 and an
-    undefined infinity sentinel otherwise."""
-    if opt > 0:
-        return alg / opt, True
-    if alg == 0:
-        return 1.0, True
-    return math.inf, False
+    @property
+    def mean_ratio(self) -> float:
+        return sum(rec.report.ratio for rec in self.trials) / len(self.trials)
+
+    @property
+    def violation_count(self) -> int:
+        return sum(rec.report.violation_count for rec in self.trials)
+
+    @property
+    def histogram(self) -> dict[str, int]:
+        """Each pair kind's count summed over the trials, in `PairKind` order."""
+        hists = [rec.report.pair_type_histogram for rec in self.trials]
+        return {kind.name: sum(h[kind.name] for h in hists) for kind in PairKind}
 
 
 def pair_type_histogram(trace: Trace) -> dict[str, int]:
@@ -177,7 +196,7 @@ def score_trace(
     source_id: str,
     opt_value: Optional[int] = None,
 ) -> RatioReport:
-    """Report a finished game's ratio against the exact optimum of the
+    """Report a finished game's crossings and the exact optimum of the
     instance it realized, with its pair-kind histogram and audit findings.
 
     By default the optimum is read from the histogram, one count for both:
@@ -194,16 +213,12 @@ def score_trace(
     if opt_value is None:
         opt_value = _histogram_opt(histogram)
     findings = audit_trace(trace)
-    alg_crossings = trace.steps[-1].edge_edge_total if trace.steps else 0
-    ratio, defined = _competitive_ratio(alg_crossings, opt_value)
     return RatioReport(
         alg_name=alg_name,
         source_id=source_id,
         n=trace.n,
-        alg_crossings=alg_crossings,
+        alg_crossings=trace.steps[-1].edge_edge_total if trace.steps else 0,
         opt_crossings=opt_value,
-        ratio=ratio,
-        ratio_defined=defined,
         pair_type_histogram=histogram,
         audit_findings=tuple(findings),
     )
@@ -239,9 +254,6 @@ def sweep(algorithm: OnlineAlgorithm, ns: Sequence[int], trials: int, seed: int)
     rng = random.Random(seed)
     plan = [(rng.choice(list(ns)), rng.randrange(2**32)) for _ in range(trials)]
     records = []
-    histogram = {kind.name: 0 for kind in PairKind}
-    violations = 0
-    ratios = []
     for index, (n, inst_seed) in enumerate(plan):
         inst = random_two_regular(n, inst_seed)
         source_id = f"random_two_regular(n={n}, seed={inst_seed})"
@@ -254,18 +266,7 @@ def sweep(algorithm: OnlineAlgorithm, ns: Sequence[int], trials: int, seed: int)
                     f"the pair-kind counts opt={report.opt_crossings}"
                 )
         records.append(TrialRecord(index=index, instance_seed=inst_seed, report=report))
-        for key, count in report.pair_type_histogram.items():
-            histogram[key] += count
-        violations += report.violation_count
-        ratios.append(report.ratio)
-    return SweepResult(
-        alg_name=algorithm.name,
-        trials=tuple(records),
-        max_ratio=max(ratios),
-        mean_ratio=sum(ratios) / len(ratios),
-        violation_count=violations,
-        histogram=histogram,
-    )
+    return SweepResult(alg_name=algorithm.name, trials=tuple(records))
 
 
 def report_to_dict(report: RatioReport) -> dict:
@@ -312,7 +313,7 @@ def _csv_row(trial: int, seed, report: RatioReport) -> dict:
         "source": report.source_id,
         "alg_crossings": report.alg_crossings,
         "opt_crossings": report.opt_crossings,
-        "ratio": f"{report.ratio:.6f}" if report.ratio_defined else "inf",
+        "ratio": f"{report.ratio:.6f}",
         "violations": report.violation_count,
     }
 

@@ -49,8 +49,11 @@ class Request:
 
 
 def make_request(x: int, y: int) -> Request:
-    """Build a request from endpoints in either order."""
-    return Request(min(x, y), max(x, y))
+    """Build a request from endpoints in either order. Only two ints are
+    ordered; `Request` refuses any other pair, shown in the order given."""
+    if type(x) is int and type(y) is int and x > y:
+        x, y = y, x
+    return Request(x, y)
 
 
 @dataclass(frozen=True)

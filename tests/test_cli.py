@@ -167,6 +167,28 @@ def test_bench_json_report(tmp_path):
     assert len(json.loads(report.read_text())["trials"]) == 3
 
 
+@pytest.mark.parametrize(
+    "algo, counts, row_tail, ratio",
+    [
+        ("first_fit", "alg=4 opt=0 ratio=inf violations=3", ",4,0,inf,3", None),
+        ("greedy", "alg=0 opt=0 ratio=1.0000 violations=0", ",0,0,1.000000,0", 1.0),
+    ],
+)
+def test_every_writer_spells_the_ratio_of_a_zero_optimum(algo, counts, row_tail, ratio,
+                                                         tmp_path, monkeypatch, capsys):
+    # Two disjoint requests have OPT = 0: first_fit crosses them 4 times, an
+    # undefined ratio, and greedy not at all, which reads as 1.
+    monkeypatch.chdir(tmp_path)
+    Path("inf4.json").write_text('{"n": 4, "requests": [[3, 4], [1, 2]]}')
+    argv = ["run", "--algo", algo, "--instance", "inf4.json", "--report"]
+    assert main(argv + ["r.csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"{algo} vs inf4.json: {counts}"
+    assert Path("r.csv").read_text().splitlines()[1] == f"0,,4,{algo},inf4.json{row_tail}"
+    assert main(argv + ["r.json", "--format", "json"]) == 0
+    payload = json.loads(Path("r.json").read_text())
+    assert (payload["ratio"], payload["ratio_defined"]) == (ratio, ratio is not None)
+
+
 def test_render_to_file(instance_path, tmp_path):
     out = tmp_path / "x.svg"
     code = main(

@@ -4,14 +4,16 @@ import math
 import re
 from dataclasses import replace
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscm.adversaries import thm1_adversary
 from oscm.algorithms import ALGORITHMS, FIRST_FIT, GREEDY, play
-from oscm.crossings import total_crossings
+from oscm.crossings import PairKind, total_crossings
 from oscm.harness import (
+    RatioReport,
     ReplayMismatchError,
     audit_trace,
     pair_type_histogram,
@@ -53,12 +55,12 @@ def test_duplicated_disjoint_pairs_report():
 
 
 def test_ratio_undefined_sentinel():
-    from oscm.harness import _competitive_ratio
+    def report(alg, opt):
+        return RatioReport("alg", "source", 4, alg, opt, {}, ())
 
-    assert _competitive_ratio(0, 0) == (1.0, True)
-    ratio, defined = _competitive_ratio(3, 0)
-    assert math.isinf(ratio) and not defined
-    assert _competitive_ratio(6, 4) == (1.5, True)
+    assert (report(0, 0).ratio, report(0, 0).ratio_defined) == (1.0, True)
+    assert math.isinf(report(3, 0).ratio) and not report(3, 0).ratio_defined
+    assert (report(6, 4).ratio, report(6, 4).ratio_defined) == (1.5, True)
 
 
 def test_external_opt_value_used():
@@ -143,6 +145,21 @@ def test_sweep_deterministic_and_validated():
     for rec in result.trials:
         inst = random_two_regular(rec.report.n, rec.instance_seed)
         assert rec.report.opt_crossings == sorted_order_value(inst)
+
+
+def test_sweep_totals_are_pinned(tmp_path):
+    result = sweep(FIRST_FIT, range(4, 8), 30, 3)
+    path = tmp_path / "sweep.json"
+    write_json(result, str(path))
+    payload = json.loads(path.read_text())
+    histogram = {"ONE_ONE": 11, "TWO_ONE": 100, "THREE_ZERO": 48, "THREE_ONE": 99,
+                 "FOUR_ZERO": 71, "TWO_TWO": 85}
+    for totals in (result, SimpleNamespace(**payload)):
+        assert totals.max_ratio == 4.2
+        assert totals.mean_ratio == 1.8871834461834462
+        assert totals.violation_count == 163
+        assert totals.histogram == histogram
+        assert list(totals.histogram) == [kind.name for kind in PairKind]
 
 
 def test_sweep_raises_when_the_oracle_disagrees(monkeypatch):

@@ -27,12 +27,24 @@ def test_request_canonical_order():
 
 
 @pytest.mark.parametrize(
-    "a, b, shown", [(1.0, 2.0, "(1.0, 2.0)"), (True, 2, "(True, 2)"), (1, "2", "(1, '2')")]
+    "a, b, shown",
+    [
+        (1.0, 2.0, "(1.0, 2.0)"),
+        (True, 2, "(True, 2)"),
+        (1, "2", "(1, '2')"),
+        (None, 1, "(None, 1)"),
+    ],
 )
 def test_request_refuses_endpoints_that_are_not_ints(a, b, shown):
     with pytest.raises(ValueError) as excinfo:
         Request(a, b)
     assert str(excinfo.value) == f"request endpoints must be integers, got {shown}"
+    # `make_request` refuses them with the same message, in either argument
+    # order, showing the endpoints in the order given.
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError) as excinfo:
+            make_request(x, y)
+        assert str(excinfo.value) == f"request endpoints must be integers, got ({x!r}, {y!r})"
 
 
 def test_validate_two_regular_ok():
