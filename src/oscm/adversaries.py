@@ -118,9 +118,9 @@ class Thm2Adversary(_RequestScript):
             placements = free_count - len(self._board.free)
             if placements != 1:
                 raise ProtocolError(f"expected one placement since the probe, saw {placements}")
-            # The local slots are the leftmost free ones, so the probe went
-            # to one of the first three exactly when one of them is taken.
-            case1 = not all(self._board.is_free(s) for s in slots[:3])
+            # The local slots are the leftmost free ones, and only the probe
+            # was placed: the first three change exactly when it took one.
+            case1 = self._board.free[:3] != slots[:3]
             for i, j in CASE1_OFFSETS if case1 else CASE2_OFFSETS:
                 yield make_request(verts[i - 1], verts[j - 1])
         free, deg = self._board.free, self._board.degree

@@ -74,10 +74,10 @@ def barycenter_choose(board: ReplayBoard, request: Request) -> int:
     return free[k]
 
 
-def greedy_scores(board: ReplayBoard, request: Request) -> dict[int, int]:
+def greedy_scores(board: ReplayBoard, request: Request) -> list[int]:
     """Score every free slot t of the board in one pass: the total
     edge-edge plus edge-arrow crossings with `request` placed at t, minus
-    that total at the leftmost free slot.
+    that total at the leftmost free slot, listed in `board.free` order.
 
     With r = (a, b) and `lv` the unfulfilled vertices once r is placed
     (the same for every t), the candidate's arrows are `lv` paired with the
@@ -107,28 +107,27 @@ def greedy_scores(board: ReplayBoard, request: Request) -> dict[int, int]:
     side = [-2] * a + [-1] + [0] * (b - a - 1) + [1] + [2] * (board.n - b)
     by_slot = board.by_slot
     score = 0
-    scores = {free[0]: 0}
-    for j in range(len(free) - 1):
-        u, w = lv[2 * j], lv[2 * j + 1]
+    scores = [0]
+    for j, (u, w, t, next_t) in enumerate(zip(lv[::2], lv[1::2], free, free[1:])):
         score += side[u] + side[w]
-        for _, q in by_slot[free[j] - 1 - j : free[j + 1] - 2 - j]:
+        for _, q in by_slot[t - 1 - j : next_t - 2 - j]:
             x, y = q.a, q.b
             score += side[x] + side[y] + (x < u) - (x > u) + (x < w) - (x > w)
             score += (y < u) - (y > u) + (y < w) - (y > w)
-        scores[free[j + 1]] = score
+        scores.append(score)
     return scores
 
 
 def greedy_choose(board: ReplayBoard, request: Request) -> int:
     """Pick the free slot whose insertion minimizes total edge-edge plus
     edge-arrow crossings. `greedy_scores` shifts every score by the same
-    constant, which leaves the minimizers as they are. `min` keeps the
-    first of equal scores in the ascending scan, so ties go to the leftmost
-    slot; a single free slot is taken without scoring."""
+    constant, which leaves the minimizers as they are. `index` finds the
+    first minimum in `free` order, so ties go to the leftmost slot; a
+    single free slot is taken without scoring."""
     if len(board.free) == 1:
         return board.free[0]
     scores = greedy_scores(board, request)
-    return min(scores, key=scores.__getitem__)
+    return board.free[scores.index(min(scores))]
 
 
 def first_fit_choose(board: ReplayBoard, request: Request) -> int:

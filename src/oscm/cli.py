@@ -5,8 +5,9 @@ with `harness.run_experiment`, against the optimum the game's pair-kind
 counts give, and `opt` prints the sorted-order optimum and its witness
 (`offline.sorted_order_opt`), all exact at every size. `bench`
 (`harness.sweep`) also checks each optimum against the exponential oracle
-at sizes up to `offline.MAX_N`. A reader that closes stdout early ends
-the command quietly with status 141.
+at sizes up to `offline.MAX_N`. A `--report` file is written before
+anything is printed, and a reader that closes stdout early ends the
+command quietly with status 141.
 """
 
 from __future__ import annotations
@@ -79,13 +80,14 @@ def _print_report(report) -> None:
 
 
 def _play_and_report(source, source_id: str, args) -> int:
-    """Play `source` under `--algo`, then score, print and write the game
-    against the exact optimum of the instance it realized."""
+    """Play `source` under `--algo`, then score, write and print the game
+    against the exact optimum of the instance it realized. The report is
+    written first, so a reader closing stdout early still gets it."""
     report, trace = run_experiment(get_algorithm(args.algo), source, source_id)
-    _print_report(report)
-    print("  opt basis: exact")
     if args.report:
         _write_report(report, args, trace if args.trace else None)
+    _print_report(report)
+    print("  opt basis: exact")
     return 0
 
 
@@ -130,13 +132,13 @@ def _cmd_bench(args) -> int:
     _refuse_report_flags_without_report(args)
     algorithm = get_algorithm(args.algo)
     result = sweep(algorithm, _parse_sizes(args.n), args.trials, args.seed)
+    if args.report:
+        _write_report(result, args)
     print(
         f"{algorithm.name}: trials={args.trials} sizes={args.n} "
         f"max_ratio={result.max_ratio:.4f} mean_ratio={result.mean_ratio:.4f} "
         f"violations={result.violation_count}"
     )
-    if args.report:
-        _write_report(result, args)
     return 0
 
 

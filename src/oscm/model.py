@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 
 class SlotOccupiedError(ValueError):

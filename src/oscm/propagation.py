@@ -161,10 +161,6 @@ class ReplayBoard:
             board.place(request, slot)
         return board
 
-    def is_free(self, slot: int) -> bool:
-        k = bisect_left(self.free, slot)
-        return k < len(self.free) and self.free[k] == slot
-
     def place(self, request: Request, slot: int) -> None:
         """Record `request` at `slot`. An unavailable slot, then a vertex
         above n, raises the error `model.apply` raises, and the board is

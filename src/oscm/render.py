@@ -81,8 +81,9 @@ def render_svg(state: PlacementState, spec: RenderSpec = RenderSpec()) -> str:
             )
 
     half = 7.0
+    free = set(board.free)
     for s in range(1, n + 1):
-        cls = "slot" if board.is_free(s) else "slot fulfilled"
+        cls = "slot" if s in free else "slot fulfilled"
         parts.append(
             f'<rect class="{cls}" x="{_fmt(x(s) - half)}" y="{_fmt(top_y - half)}" '
             f'width="{_fmt(2 * half)}" height="{_fmt(2 * half)}"/>'

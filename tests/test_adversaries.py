@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oscm.adversaries import (
     CASE1_OFFSETS,
     CASE2_OFFSETS,
+    ENDGAME_RESERVE,
     PROBE_OFFSET,
     InfeasibleFillError,
     ProtocolError,
@@ -15,7 +17,7 @@ from oscm.adversaries import (
     thm2_adversary,
     thm2_board_size,
 )
-from oscm.algorithms import ALGORITHMS, FIRST_FIT, GREEDY, OnlineAlgorithm, play
+from oscm.algorithms import ALGORITHMS, BARYCENTER, FIRST_FIT, GREEDY, OnlineAlgorithm, play
 from oscm.crossings import total_crossings
 from oscm.model import (
     Request,
@@ -219,6 +221,39 @@ def test_thm2_case_split_at_each_local_slot(k):
         verts = [v for v in range(1, n + 1) if v not in used][:5]
         expected += [Request(verts[i - 1], verts[j - 1]) for i, j in (PROBE_OFFSET,) + offsets]
     assert trace.requests[: len(expected)] == expected
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("rounds", [1, 2, 3, 4, 5, 6])
+def test_thm2_case_split_in_every_round_at_each_free_position(rounds, p):
+    # Every request goes to the p-th leftmost free slot (the last one once
+    # fewer are left), so every probe does. Each probe is followed by the
+    # Case 1 requests exactly when p <= 3, in every round.
+    offsets = CASE1_OFFSETS if p <= 3 else CASE2_OFFSETS
+    choose = lambda board, request: board.free[min(p, len(board.free)) - 1]
+    adversary = thm2_adversary(rounds)
+    n = adversary.n
+    requests = play(adversary, OnlineAlgorithm(name=f"free_at_{p}", choose=choose)).requests
+    i = 0
+    while n - i > ENDGAME_RESERVE:
+        used = {v for q in requests[:i] for v in q.vertices}
+        verts = [v for v in range(1, n + 1) if v not in used][:5]
+        block = [Request(verts[x - 1], verts[y - 1]) for x, y in (PROBE_OFFSET,) + offsets]
+        assert requests[i : i + len(block)] == block
+        i += len(block)
+    assert i > 0
+
+
+def test_thm2_baseline_traces_match_pinned_sha256():
+    # Every step of barycenter's and first_fit's thm2 games at rounds
+    # 1..12: a change to the case split or the endgame changes the digest.
+    digest = hashlib.sha256()
+    for alg in (BARYCENTER, FIRST_FIT):
+        for rounds in range(1, 13):
+            for s in play(thm2_adversary(rounds), alg).steps:
+                digest.update(f"{s.request.a},{s.request.b}@{s.slot}:{s.edge_edge_total};".encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == "7a4ab6ebb160e5eba065e1534953b51786ade92434a96662dbc4a875d5b5e75f"
 
 
 def test_thm2_probe_must_be_placed_exactly_once():

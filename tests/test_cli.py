@@ -264,25 +264,57 @@ def test_audit_of_a_general_instance_above_degree_two(algo, code, out, err, tmp_
     assert capsys.readouterr() == (out, err)
 
 
-def test_a_reader_closing_stdout_early_exits_141_quietly(tmp_path):
-    # 10,396 findings, about 950 KB of stdout: far more than a pipe holds,
-    # so the audit is still writing when the reader closes its end.
+def read_one_line_and_close(tmp_path, argv):
+    """Run `oscm argv` in `tmp_path`, which holds `random_two_regular(60, 1)`
+    as inst60.json, close its stdout after one line and return that line,
+    the exit code and stderr."""
     save_instance(random_two_regular(60, seed=1), str(tmp_path / "inst60.json"))
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     with subprocess.Popen(
-        [sys.executable, "-m", "oscm.cli", "audit", "--algo", "first_fit",
-         "--instance", "inst60.json"],
+        [sys.executable, "-m", "oscm.cli", *argv],
         cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     ) as proc:
         header = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
+    return header, code, err
+
+
+def test_a_reader_closing_stdout_early_exits_141_quietly(tmp_path):
+    # 10,396 findings, about 950 KB of stdout: far more than a pipe holds,
+    # so the audit is still writing when the reader closes its end.
+    argv = ["audit", "--algo", "first_fit", "--instance", "inst60.json"]
+    header, code, err = read_one_line_and_close(tmp_path, argv)
     assert code == 141
     assert header == "first_fit on inst60.json: 10396 finding(s), final crossings=3454\n"
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, report, row, side_file",
+    [
+        (["run", "--algo", "first_fit", "--instance", "inst60.json", "--report", "x.csv"],
+         "x.csv", "0,,60,first_fit,inst60.json,3454,1903,1.815029,10396", None),
+        (["adversary", "--name", "fig8", "--n", "40", "--algo", "first_fit",
+          "--report", "a.csv", "--trace"],
+         "a.csv", "0,,40,first_fit,fig8(n=40),3060,20,153.000000,10640", "a.csv.trace.json"),
+    ],
+    ids=["run", "adversary"],
+)
+def test_a_reader_closing_stdout_early_still_gets_the_report(argv, report, row, side_file,
+                                                             tmp_path):
+    # Both games print over 10,000 findings, far more than a pipe holds:
+    # the report is written before the printing that the closed pipe stops.
+    _, code, err = read_one_line_and_close(tmp_path, argv)
+    assert code == 141
+    assert err == ""
+    with open(tmp_path / report, newline="") as fh:
+        assert fh.read().splitlines()[1] == row
+    if side_file:
+        assert (tmp_path / side_file).is_file()
 
 
 def test_missing_instance_file_is_diagnosed(capsys):
