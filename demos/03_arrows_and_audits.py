@@ -8,8 +8,10 @@ come. Two audits read this structure:
   reachable state of every algorithm;
 - the double-cross audit looks for two arrows into one slot that both cross
   both edges of a fulfilled slot. The greedy algorithm avoids this shape on
-  almost every game, but exact score ties (broken leftward) can produce it;
-  the demo replays one such game.
+  most small games, but not on all: an exact score tie (broken leftward)
+  can produce it, and on some games every resolution of greedy's ties
+  reaches it (acceptance criterion 9's 7-vertex game). The demo replays
+  one game where greedy reaches it.
 
 A rendered SVG of a mid-game state is written to the current directory.
 
@@ -51,8 +53,9 @@ def double_cross_demo() -> None:
         for h in hits[:3]:
             print(f"  {h}")
     print()
-    print("first_fit blunders into the shape routinely; greedy reaches it only")
-    print("through an exact score tie -- rare, but this seed finds one.")
+    print("first_fit blunders into the shape routinely; greedy reaches it on some")
+    print("games too, through a score tie or on every resolution of its ties,")
+    print("as on acceptance criterion 9's 7-vertex game.")
 
 
 def main() -> None:

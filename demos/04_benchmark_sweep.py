@@ -16,12 +16,12 @@ from oscm.harness import sweep, write_csv
 def main() -> None:
     trials, seed, sizes = 200, 7, range(4, 10)
     print(f"{trials} random games each, sizes {sizes.start}..{sizes.stop - 1}, seed {seed}")
-    # Every audit runs on every game; each finding's wording names its
-    # audit. Flow balance holds for every algorithm. The gap and
-    # double-cross shapes are invariants greedy is meant to keep (it nearly
-    # does; the README has its rates). first_fit and barycenter place
-    # without regard to the arrows, so their double crosses are expected.
-    kinds = {"gaps": " pair (", "double crosses": ": arrows [", "unbalanced cuts": ": cut ("}
+    # Both trace audits run on every game; each finding's wording names its
+    # audit. The gap and double-cross shapes are invariants greedy is meant
+    # to keep (it nearly does; the README has its rates). first_fit and
+    # barycenter place without regard to the arrows, so their double
+    # crosses are expected.
+    kinds = {"gaps": " pair (", "double crosses": ": arrows ["}
     print(f"{'algorithm':12} {'max ratio':>9} {'mean ratio':>10} "
           + " ".join(f"{label:>15}" for label in kinds))
     results = {}

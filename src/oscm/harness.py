@@ -8,8 +8,11 @@ also checks each optimum against the exponential oracle
 Greedy does not always maintain them: on random 2-regular games, 5 of 400
 traces at n=10 have a double-cross finding and 1 of 50 at n=80 a gap
 finding, and both shares grow with n (the README's rates,
-`scripts/double_cross_rates.py`). The baselines do not try to keep them.
-Only an equator finding means a faulty arrow set.
+`scripts/double_cross_rates.py`). Score ties explain only some of
+greedy's double crosses: on the 7-vertex game of acceptance criterion 9,
+both resolutions of its one tie reach one. The baselines do not try to
+keep them. The flow-balance identity (`propagation.audit_equator`) holds
+on every state whose arrows are defined, so a replay does not check it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 from .algorithms import OnlineAlgorithm, Trace, play
 from .crossings import PairKind
@@ -168,16 +171,16 @@ def _replay(trace: Trace):
 def audit_trace(trace: Trace) -> list[str]:
     """Replay a trace (`_replay`) and collect invariant findings at every
     step: the gap audit of the request just placed, then the double-cross
-    and equator audits of the board.
+    audit of the board. These are the two audits that can fire; the flow
+    balance (`propagation.audit_equator`) cannot, and is not run.
 
-    The arrow-based audits are skipped on states where arrows are undefined
-    (possible for general, non-2-regular request sequences); both read the
-    board's one arrow list. The replay checks every step's stored total, so
+    The double-cross audit is skipped on states where arrows are undefined
+    (possible for general, non-2-regular request sequences); it reads the
+    board's arrow list. The replay checks every step's stored total, so
     once this returns, the last step's total is the game's checked crossing
     count (`score_trace` reads it there). Each finding is worded once, with its
     "step <i>: " prefix, so a caller picks one audit's findings by their
-    wording: "<KIND> pair (" for gaps, "arrows [" for double crosses and
-    "cut (" for the equator.
+    wording: "<KIND> pair (" for gaps and "arrows [" for double crosses.
     """
     findings: list[str] = []
     for idx, step, board in _replay(trace):
@@ -186,7 +189,6 @@ def audit_trace(trace: Trace) -> list[str]:
         if board.lv is None:
             continue
         findings.extend(board.double_cross_findings(prefix))
-        findings.extend(prefix + f for f in board.equator_findings())
     return findings
 
 
@@ -236,7 +238,7 @@ def run_experiment(
     return score_trace(trace, algorithm.name, source_id, opt_value=opt_value), trace
 
 
-def sweep(algorithm: OnlineAlgorithm, ns: Sequence[int], trials: int, seed: int) -> SweepResult:
+def sweep(algorithm: OnlineAlgorithm, ns: Iterable[int], trials: int, seed: int) -> SweepResult:
     """Play `trials` random 2-regular games with sizes drawn from `ns`,
     each scored by `run_experiment` against the optimum its pair-kind
     counts give. At sizes up to `offline.MAX_N` the exponential oracle
@@ -245,14 +247,16 @@ def sweep(algorithm: OnlineAlgorithm, ns: Sequence[int], trials: int, seed: int)
 
     Fully deterministic for a fixed seed: the master RNG fixes each trial's
     size and instance seed up front, so trials could run concurrently and
-    fold back in index order without changing the result.
+    fold back in index order without changing the result. `ns` is read
+    once, so any iterable of sizes will do.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    if not ns:
+    sizes = list(ns)
+    if not sizes:
         raise ValueError("need at least one size in ns")
     rng = random.Random(seed)
-    plan = [(rng.choice(list(ns)), rng.randrange(2**32)) for _ in range(trials)]
+    plan = [(rng.choice(sizes), rng.randrange(2**32)) for _ in range(trials)]
     records = []
     for index, (n, inst_seed) in enumerate(plan):
         inst = random_two_regular(n, inst_seed)

@@ -139,6 +139,10 @@ def test_sweep_deterministic_and_validated():
         sweep(GREEDY, [4], trials=0, seed=0)
     with pytest.raises(ValueError, match="^need at least one size in ns$"):
         sweep(GREEDY, [], trials=3, seed=0)
+    # The sizes are read once, so a one-shot iterator draws as its list does.
+    assert sweep(GREEDY, iter([4, 5]), 3, 0) == sweep(GREEDY, [4, 5], 3, 0)
+    with pytest.raises(ValueError, match="^need at least one size in ns$"):
+        sweep(GREEDY, iter([]), trials=3, seed=0)
     # Sizes above the oracle's bound are scored exactly too.
     result = sweep(GREEDY, range(9, 13), trials=8, seed=1)
     assert max(rec.report.n for rec in result.trials) > MAX_N
