@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, Optional
 
-from .model import Instance, RegularityClass, Request, make_request
+from .model import Instance, RegularityClass, Request, _strict_int, make_request
 from .propagation import ReplayBoard
 
 
@@ -64,7 +64,7 @@ class Thm1Adversary(_RequestScript):
     name = "thm1"
 
     def __init__(self, n: int):
-        if n < 4:
+        if _strict_int(n, "n") < 4:
             raise ValueError(f"need n >= 4, got {n}")
         self.n = n
         self._requests = self._script()
@@ -89,10 +89,6 @@ PROBE_OFFSET = (3, 4)
 ENDGAME_RESERVE = 6
 
 
-def thm2_board_size(rounds: int) -> int:
-    return 5 * rounds + ENDGAME_RESERVE
-
-
 class Thm2Adversary(_RequestScript):
     """Adaptive 2-regular strategy: repeatedly probes the five leftmost free
     slots and edge-free vertices with one request, branches on where the
@@ -102,9 +98,9 @@ class Thm2Adversary(_RequestScript):
     name = "thm2"
 
     def __init__(self, rounds: int):
-        if rounds < 1:
+        if _strict_int(rounds, "rounds") < 1:
             raise ValueError(f"need rounds >= 1, got {rounds}")
-        self.n = thm2_board_size(rounds)
+        self.n = 5 * rounds + ENDGAME_RESERVE
         self._requests = self._script()
 
     def _script(self) -> Iterator[Request]:
@@ -141,7 +137,7 @@ def thm2_adversary(rounds: int) -> Thm2Adversary:
 def fig8_instance(n: int) -> Instance:
     """Duplicated consecutive pairs, presented right to left; the barycenter
     rule walks leftward and must dump the final request at the far right."""
-    if n < 4 or n % 2 != 0:
+    if _strict_int(n, "n") < 4 or n % 2 != 0:
         raise ValueError(f"need even n >= 4, got {n}")
     requests = []
     for hi in range(n, 0, -2):

@@ -96,14 +96,6 @@ def order_counts(r1: Request, r2: Request) -> tuple[int, int]:
 _KIND_OF_COUNTS = {kind.value: kind for kind in PairKind}
 
 
-def pair_kind(placed: int, swapped: int) -> PairKind:
-    """The kind of a pair with these crossing counts in its two slot orders."""
-    kind = _KIND_OF_COUNTS.get(frozenset((placed, swapped)))
-    if kind is None:
-        raise UnclassifiablePairError(f"counts ({placed}, {swapped}) match no known kind")
-    return kind
-
-
 def classify_pair(r1: Request, s1: int, r2: Request, s2: int) -> PairCrossKind:
     """Classify a placed pair by its crossing counts in the given and the
     swapped slot order."""
@@ -111,5 +103,7 @@ def classify_pair(r1: Request, s1: int, r2: Request, s2: int) -> PairCrossKind:
         raise ValueError(f"requests share slot {s1}")
     gt, lt = order_counts(r1, r2)
     placed, swapped = (gt, lt) if s1 < s2 else (lt, gt)
-    kind = pair_kind(placed, swapped)
+    kind = _KIND_OF_COUNTS.get(frozenset((placed, swapped)))
+    if kind is None:
+        raise UnclassifiablePairError(f"counts ({placed}, {swapped}) match no known kind")
     return PairCrossKind(kind=kind, placed_count=placed, swapped_count=swapped)

@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Union
 
 from .algorithms import OnlineAlgorithm, Trace, play
 from .crossings import PairKind
-from .model import random_two_regular
+from .model import _strict_int, random_two_regular
 from .offline import MAX_N, brute_force_opt
 from .propagation import ReplayBoard
 
@@ -186,9 +186,8 @@ def audit_trace(trace: Trace) -> list[str]:
     for idx, step, board in _replay(trace):
         prefix = f"step {idx}: "
         findings.extend(board.gap_findings(step.slot, prefix))
-        if board.lv is None:
-            continue
-        findings.extend(board.double_cross_findings(prefix))
+        if board.lv is not None:
+            findings.extend(board.double_cross_findings(prefix))
     return findings
 
 
@@ -248,13 +247,17 @@ def sweep(algorithm: OnlineAlgorithm, ns: Iterable[int], trials: int, seed: int)
     Fully deterministic for a fixed seed: the master RNG fixes each trial's
     size and instance seed up front, so trials could run concurrently and
     fold back in index order without changing the result. `ns` is read
-    once, so any iterable of sizes will do.
+    once, so any iterable of sizes will do. `trials` and every size are
+    checked before the first game: each must be an int (`model._strict_int`),
+    `trials` at least 1 and each size at least 2.
     """
-    if trials < 1:
+    if _strict_int(trials, "trials") < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     sizes = list(ns)
     if not sizes:
         raise ValueError("need at least one size in ns")
+    if small := [n for n in sizes if _strict_int(n, "n") < 2]:
+        raise ValueError(f"need n >= 2 for a 2-regular instance, got {small[0]}")
     rng = random.Random(seed)
     plan = [(rng.choice(sizes), rng.randrange(2**32)) for _ in range(trials)]
     records = []

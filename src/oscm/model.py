@@ -156,7 +156,7 @@ def random_two_regular(n: int, seed: int) -> Instance:
     Shuffles the multiset {1,1,...,n,n} and pairs consecutive tokens,
     resampling whenever a pair would be a self-loop. Deterministic per seed.
     """
-    if n < 2:
+    if _strict_int(n, "n") < 2:
         raise ValueError(f"need n >= 2 for a 2-regular instance, got {n}")
     rng = random.Random(seed)
     tokens = [v for v in range(1, n + 1) for _ in range(2)]

@@ -6,7 +6,7 @@ counts, and that `render` and the per-state functions here load a single
 state on. It edits sorted lists in place as each request is placed, so a
 step reads the board's lists instead of a new `PlacementState` and a new
 arrow set. Request sources and algorithms read `free`, `degree` and
-`by_slot` directly. Each audit's finding text comes from one helper here.
+`by_slot` directly.
 
 The propagation arrows are a greedy matching of missing vertex degrees to
 free slot capacity that lower-bounds the crossings still to come. The
@@ -37,53 +37,6 @@ def degree_overflow_error(deg: list[int]) -> DegreeOverflowError:
     """The error for the least vertex whose degree in `deg` exceeds two."""
     v = next(v for v, d in enumerate(deg) if d > 2)
     return DegreeOverflowError(f"vertex {v} has degree {deg[v]} > 2")
-
-
-def gap_pair_findings(request, slot, items, left_stop, right_start, prefix: str = "") -> list[str]:
-    """The gap findings of `request` at `slot`, each starting with
-    `prefix`: the 4-0 or 3-0 pairs it forms in crossing order with a free
-    slot between, against the (slot, request) pairs items[:left_stop], left
-    of it with a free slot between, and items[right_start:], right of it
-    with a free slot between.
-
-    With L the request in the left slot and R the one in the right slot, a
-    pair is in crossing order (swapping it would remove every crossing)
-    exactly when L.a >= R.b. It then has 4 crossings as placed when
-    L.a > R.b and 3 when L.a = R.b, as the two edges at that vertex meet
-    without crossing.
-    """
-    a, b = request.a, request.b
-    pairs = [(s, q, q.a > b) for s, q in items[:left_stop] if q.a >= b]
-    pairs += [(s, q, a > q.b) for s, q in items[right_start:] if a >= q.b]
-    return [
-        f"{prefix}{(PairKind.FOUR_ZERO if four else PairKind.THREE_ZERO).name} pair "
-        f"({a},{b})@{slot} vs ({q.a},{q.b})@{other_slot} with a free slot between"
-        for other_slot, q, four in pairs
-    ]
-
-
-def cut_flows(n: int, segments) -> list[tuple[int, int]]:
-    """Per diagonal cut i = 1..n, the segments crossing it as
-    (left-to-right, right-to-left): a segment (v, s), an edge or an arrow,
-    crosses cut i left to right when v <= i < s and right to left when
-    s <= i < v."""
-    return [
-        (sum(v <= i < s for v, s in segments), sum(s <= i < v for v, s in segments))
-        for i in range(1, n + 1)
-    ]
-
-
-def arrows_crossing(lv, v, left) -> int:
-    """How many arrows of the sorted vertex list `lv` cross an edge (v, s)
-    when the first `left` arrows point left of s and the rest right of it.
-
-    The arrows form a chain monotone in both coordinates, so the ones
-    crossing the edge are one contiguous run: [bisect_right(lv, v), left),
-    vertex above v and slot left of s, or [left, bisect_left(lv, v)),
-    vertex below v and slot right of s. At most one of the two is not
-    empty.
-    """
-    return max(left - bisect_right(lv, v), bisect_left(lv, v) - left, 0)
 
 
 def _above_minus_below(items, a: int, b: int) -> int:
@@ -191,19 +144,24 @@ class ReplayBoard:
         del lv[bisect_left(lv, a)]
         del lv[bisect_left(lv, b)]
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(v, s) for s, q in self.by_slot for v in (q.a, q.b)]
-
     def arrows(self) -> list[tuple[int, int]]:
         return list(zip(self.lv, [t for t in self.free for _ in range(2)]))
 
     def edge_arrow_total(self) -> int:
-        """Crossings between the placed edges and the arrows: the i-th
-        placed slot s has 2(s - 1 - i) arrows pointing left of it."""
+        """Crossings between the placed edges and the arrows. The i-th
+        placed slot s has left = 2(s - 1 - i) arrows pointing left of it.
+
+        The arrows form a chain monotone in both coordinates, so the ones
+        crossing an edge (v, s) are one contiguous run of `lv`:
+        [bisect_right(lv, v), left), vertex above v and slot left of s, or
+        [left, bisect_left(lv, v)), vertex below v and slot right of s. At
+        most one of the two is not empty.
+        """
         lv = self.lv
         return sum(
-            arrows_crossing(lv, v, 2 * (s - 1 - i))
+            max(left - bisect_right(lv, v), bisect_left(lv, v) - left, 0)
             for i, (s, q) in enumerate(self.by_slot)
+            for left in [2 * (s - 1 - i)]
             for v in (q.a, q.b)
         )
 
@@ -215,13 +173,26 @@ class ReplayBoard:
         slot above; their placed-slot counts bound the two runs, with no
         search. With k free slots left of `slot`, those are free[k - 1] and
         free[k], and the request sits at by_slot[slot - 1 - k].
+
+        A finding is a 4-0 or 3-0 pair in crossing order (swapping it would
+        remove every crossing) with a free slot between. With L the request
+        in the left slot and R the one in the right slot, a pair is in
+        crossing order exactly when L.a >= R.b. It then has 4 crossings as
+        placed when L.a > R.b and 3 when L.a = R.b, as the two edges at
+        that vertex meet without crossing.
         """
         free, by_slot = self.free, self.by_slot
         k = bisect_left(free, slot)
         left_stop = free[k - 1] - k if k else 0
         right_start = free[k] - k - 1 if k < len(free) else len(by_slot)
-        request = by_slot[slot - 1 - k][1]
-        return gap_pair_findings(request, slot, by_slot, left_stop, right_start, prefix)
+        a, b = by_slot[slot - 1 - k][1].vertices
+        pairs = [(s, q, q.a > b) for s, q in by_slot[:left_stop] if q.a >= b]
+        pairs += [(s, q, a > q.b) for s, q in by_slot[right_start:] if a >= q.b]
+        return [
+            f"{prefix}{(PairKind.FOUR_ZERO if four else PairKind.THREE_ZERO).name} pair "
+            f"({a},{b})@{slot} vs ({q.a},{q.b})@{other_slot} with a free slot between"
+            for other_slot, q, four in pairs
+        ]
 
     def double_cross_findings(self, prefix: str = "") -> list[str]:
         """The double-cross findings of the board, each starting with
@@ -328,11 +299,15 @@ def audit_equator(state: PlacementState) -> list[str]:
     So the audit cannot fire on any state `arrows` accepts. It is a check
     of the board's arrow bookkeeping, run per state: a trace replay does
     not run it, and the tests apply it at every step of the acceptance
-    sweeps. Each cut is counted as `cut_flows` defines it.
+    sweeps. A segment (v, s), an edge or an arrow, crosses cut i left to
+    right when v <= i < s and right to left when s <= i < v.
     """
     board = _arrow_board(state)
-    return [
-        f"cut (v<={i}, s<={i}): {lr} left-to-right vs {rl} right-to-left"
-        for i, (lr, rl) in enumerate(cut_flows(state.n, board.edges() + board.arrows()), start=1)
-        if lr != rl
-    ]
+    segments = [(v, s) for s, q in board.by_slot for v in (q.a, q.b)] + board.arrows()
+    findings = []
+    for i in range(1, state.n + 1):
+        lr = sum(v <= i < s for v, s in segments)
+        rl = sum(s <= i < v for v, s in segments)
+        if lr != rl:
+            findings.append(f"cut (v<={i}, s<={i}): {lr} left-to-right vs {rl} right-to-left")
+    return findings

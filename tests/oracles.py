@@ -3,7 +3,8 @@ tests: they rebuild a new state and a new arrow set from scratch and count
 crossings with full `segment_crossings` sweeps, where the library reads one
 `ReplayBoard`, count a pair's crossings edge by edge, where the library
 reads four endpoint comparisons, or count a placement's crossings against
-every placed request, where the board bisects its sorted vertex ends. Also
+every placed request, where the board bisects its sorted vertex ends, and
+the flow-balance findings counted segment by segment at every cut. Also
 the readings of a plain `PlacementState` record (its free slots, degrees,
 edges and slot-ordered items) that the library takes off a board, the
 instance a trace realized with its per-pair optimum, and the helpers that
@@ -14,7 +15,7 @@ from bisect import bisect_left, bisect_right, insort
 
 from oscm.harness import _histogram_opt, pair_type_histogram
 from oscm.model import Instance, PlacementState, RegularityClass, apply, validate_instance
-from oscm.propagation import degree_overflow_error
+from oscm.propagation import DegreeOverflowError
 
 
 def edges_cross(e1, e2) -> bool:
@@ -77,8 +78,9 @@ def unfulfilled_vertices(state):
     A vertex above n raises IndexError, one above degree two
     DegreeOverflowError."""
     deg = state_degrees(state)
-    if any(d > 2 for d in deg):
-        raise degree_overflow_error(deg)
+    for v, d in enumerate(deg):
+        if d > 2:
+            raise DegreeOverflowError(f"vertex {v} has degree {d} > 2")
     return [v for v in range(1, state.n + 1) for _ in range(2 - deg[v])]
 
 
@@ -96,6 +98,24 @@ def scratch_arrows(state):
     if len(lv) != len(ls):
         raise ValueError(f"{len(lv)} missing edges vs {len(ls)} slot openings")
     return tuple(zip(lv, ls))
+
+
+def oracle_equator(state, arr=None):
+    """The flow-balance findings of `state` with the arrows `arr`: per cut
+    i, the edges and arrows with their vertex at or left of i and their slot
+    right of it, against those with their slot at or left of i and their
+    vertex right of it."""
+    if arr is None:
+        arr = scratch_arrows(state)
+    segments = state_edges(state) + list(arr)
+    findings = []
+    for i in range(1, state.n + 1):
+        left_side = [(v <= i, s <= i) for v, s in segments]
+        lr = left_side.count((True, False))
+        rl = left_side.count((False, True))
+        if lr != rl:
+            findings.append(f"cut (v<={i}, s<={i}): {lr} left-to-right vs {rl} right-to-left")
+    return findings
 
 
 def edge_pair_crossings(r1, s1, r2, s2) -> int:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 
 import pytest
@@ -11,11 +12,11 @@ from oscm.adversaries import (
     PROBE_OFFSET,
     InfeasibleFillError,
     ProtocolError,
+    Thm2Adversary,
     endgame_fill,
     fig8_instance,
     thm1_adversary,
     thm2_adversary,
-    thm2_board_size,
 )
 from oscm.algorithms import ALGORITHMS, BARYCENTER, FIRST_FIT, GREEDY, OnlineAlgorithm, play
 from oscm.crossings import total_crossings
@@ -66,6 +67,24 @@ def test_endgame_fill_meets_every_deficit(deficits):
     reqs = endgame_fill(deficits)
     counts = Counter(v for r in reqs for v in r.vertices)
     assert counts == Counter(deficits)
+
+
+@pytest.mark.parametrize(
+    "build, size, message",
+    [
+        (thm1_adversary, 4.5, "n must be an integer, got 4.5"),
+        (thm1_adversary, True, "n must be an integer, got True"),
+        (thm1_adversary, 3, "need n >= 4, got 3"),
+        (thm2_adversary, 1.5, "rounds must be an integer, got 1.5"),
+        (thm2_adversary, True, "rounds must be an integer, got True"),
+        (thm2_adversary, 0, "need rounds >= 1, got 0"),
+        (fig8_instance, 6.0, "n must be an integer, got 6.0"),
+        (fig8_instance, 5, "need even n >= 4, got 5"),
+    ],
+)
+def test_sources_refuse_a_non_integer_size(build, size, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(size)
 
 
 def test_thm1_requires_n4():
@@ -124,8 +143,8 @@ def test_thm2_refuses_a_board_it_cannot_finish(placed, message):
 
 
 def test_thm2_board_size():
-    assert thm2_board_size(1) == 11
-    assert thm2_board_size(20) == 106
+    assert Thm2Adversary(1).n == 11
+    assert Thm2Adversary(20).n == 106
     with pytest.raises(ValueError):
         thm2_adversary(0)
 
@@ -138,7 +157,7 @@ def test_thm2_board_size():
 def test_thm2_completes_to_two_regular(name, rounds):
     trace = play(thm2_adversary(rounds), ALGORITHMS[name])
     inst = realized_instance(trace)
-    assert inst.n == thm2_board_size(rounds)
+    assert inst.n == 5 * rounds + ENDGAME_RESERVE
     assert len(inst.requests) == inst.n
     assert inst.regularity_class is RegularityClass.TWO_REGULAR
     assert validate_instance(inst) == []

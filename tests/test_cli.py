@@ -484,6 +484,33 @@ def test_audit_stdout_is_byte_identical(tmp_path, monkeypatch, capsys):
     )
 
 
+# sha256 of a `--trace` JSON report: the score, the findings and every
+# step's edge-edge and edge-arrow totals. The thm1 game's last step has no
+# arrows, so its `edge_arrow_total` is null.
+TRACE_REPORT_SHA256 = {
+    "run --algo greedy --instance inst12.json --report r.json": (
+        "d27f569268477fcb97ed52a9f4ff821fe0719a4bc8754b1b49700138c23df505"
+    ),
+    "adversary --name thm1 --n 10 --algo barycenter --report t.json": (
+        "7e2529d5e82ec4300c5673ecc18aa52ff420407d37cc0185fb112529246b20f2"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", TRACE_REPORT_SHA256)
+def test_trace_json_report_is_byte_identical(command, tmp_path, monkeypatch, capsys):
+    # Relative paths keep the report's source names the same wherever the
+    # test runs.
+    monkeypatch.chdir(tmp_path)
+    save_instance(random_two_regular(12, 1), "inst12.json")
+    argv = command.split()
+    assert main([*argv, "--format", "json", "--trace"]) == 0
+    report = Path(argv[-1]).read_bytes()
+    assert hashlib.sha256(report).hexdigest() == TRACE_REPORT_SHA256[command]
+    if argv[0] == "adversary":
+        assert json.loads(report)["trace"]["steps"][-1]["edge_arrow_total"] is None
+
+
 @pytest.mark.parametrize(
     "error",
     [

@@ -151,6 +151,27 @@ def test_sweep_deterministic_and_validated():
         assert rec.report.opt_crossings == sorted_order_value(inst)
 
 
+@pytest.mark.parametrize(
+    "ns, trials, message",
+    [
+        ([3.5], 2, "n must be an integer, got 3.5"),
+        ([4, 5.0], 3, "n must be an integer, got 5.0"),
+        ([4, True], 3, "n must be an integer, got True"),
+        ([4], 1.5, "trials must be an integer, got 1.5"),
+        ([4], True, "trials must be an integer, got True"),
+        ([4], 0, "need trials >= 1, got 0"),
+        ([1, 4], 3, "need n >= 2 for a 2-regular instance, got 1"),
+    ],
+)
+def test_sweep_checks_its_sizes_and_count_before_any_game(ns, trials, message, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep played a game before refusing its input")
+
+    monkeypatch.setattr("oscm.harness.run_experiment", refuse)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep(GREEDY, ns, trials, 0)
+
+
 def test_sweep_totals_are_pinned(tmp_path):
     result = sweep(FIRST_FIT, range(4, 8), 30, 3)
     path = tmp_path / "sweep.json"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -120,6 +122,12 @@ def test_random_two_regular_n2_forced():
 def test_random_two_regular_rejects_n1():
     with pytest.raises(ValueError):
         random_two_regular(1, seed=0)
+
+
+@pytest.mark.parametrize("n", [3.5, 4.0, True, "4"])
+def test_random_two_regular_refuses_a_non_integer_size(n):
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+        random_two_regular(n, seed=0)
 
 
 def test_random_two_regular_deterministic():

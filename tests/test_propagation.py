@@ -12,12 +12,18 @@ from oscm.model import (
 )
 from oscm.propagation import (
     DegreeOverflowError,
+    ReplayBoard,
     arrows,
     audit_equator,
     audit_no_double_cross,
-    cut_flows,
 )
-from oracles import free_slots, scratch_arrows, unfulfilled_slots, unfulfilled_vertices
+from oracles import (
+    free_slots,
+    oracle_equator,
+    scratch_arrows,
+    unfulfilled_slots,
+    unfulfilled_vertices,
+)
 
 
 def fig4_state():
@@ -106,30 +112,48 @@ def test_equator_identity_on_any_reachable_state(n, seed):
 
 
 @st.composite
-def sized_segments(draw):
-    # Arbitrary, usually unbalanced, segment lists; coordinates may fall
-    # outside 1..n, where a segment crosses only the cuts inside it.
-    n = draw(st.integers(min_value=0, max_value=9))
+def state_and_segments(draw):
+    # A reachable state and an arbitrary, usually unbalanced, segment list
+    # in place of its arrows; coordinates may fall outside 1..n, where a
+    # segment crosses only the cuts inside it.
+    n = draw(st.integers(min_value=2, max_value=9))
+    state = _random_reachable_state(n, draw(st.integers(min_value=0, max_value=2000)))
     coord = st.integers(min_value=0, max_value=n + 2)
-    return n, draw(st.lists(st.tuples(coord, coord), max_size=20))
+    return state, draw(st.lists(st.tuples(coord, coord), max_size=20))
 
 
-@given(sized_segments())
-def test_cut_flows_match_per_cut_count(data):
-    n, segments = data
-    expected = [
-        (
-            sum(1 for v, s in segments if v <= i and s > i),
-            sum(1 for v, s in segments if v > i and s <= i),
-        )
-        for i in range(1, n + 1)
+def _equator_with_arrows(state, segments):
+    """`audit_equator` of `state` on a board whose arrows are `segments`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReplayBoard, "arrows", lambda board: list(segments))
+        return audit_equator(state)
+
+
+@given(state_and_segments())
+def test_audit_equator_counts_each_cut_as_defined(data):
+    state, segments = data
+    assert _equator_with_arrows(state, segments) == oracle_equator(state, segments)
+
+
+def test_audit_equator_hand_values():
+    # Balanced at every cut: (1, 3) and (3, 1) cross cuts 1 and 2 in
+    # opposite directions, and (2, 2) crosses none.
+    assert _equator_with_arrows(empty_state(3), [(1, 3), (3, 1), (2, 2)]) == []
+    assert _equator_with_arrows(empty_state(2), [(1, 2)]) == [
+        "cut (v<=1, s<=1): 1 left-to-right vs 0 right-to-left"
     ]
-    assert cut_flows(n, segments) == expected
-
-
-def test_cut_flows_hand_values():
-    assert cut_flows(3, [(1, 3), (3, 1), (2, 2)]) == [(1, 1), (1, 1), (0, 0)]
-    assert cut_flows(2, [(1, 2)]) == [(1, 0), (0, 0)]
+    # Outside 1..n: (0, 2) crosses cut 1 only, (4, 1) cuts 1, 2 and 3.
+    assert _equator_with_arrows(empty_state(3), [(0, 2), (4, 1)]) == [
+        "cut (v<=2, s<=2): 0 left-to-right vs 1 right-to-left",
+        "cut (v<=3, s<=3): 0 left-to-right vs 1 right-to-left",
+    ]
+    # The placed edges count too: the edge (1, 2) crosses cut 1 left to
+    # right, which the arrow (3, 1) balances; nothing balances the arrow
+    # at cut 2.
+    state = apply(empty_state(3), Request(1, 2), 2)
+    assert _equator_with_arrows(state, [(3, 1)]) == [
+        "cut (v<=2, s<=2): 0 left-to-right vs 1 right-to-left",
+    ]
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=500))

@@ -9,7 +9,6 @@ values, findings in the same order, on every step of every game here.
 import functools
 import random
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from itertools import combinations
 
@@ -56,19 +55,16 @@ from oscm.propagation import (
     arrows,
     audit_equator,
     audit_no_double_cross,
-    cut_flows,
-    gap_pair_findings,
 )
 from oracles import (
     added_crossings,
     edge_arrow_crossings,
     edge_pair_crossings,
     edges_cross,
-    free_slots,
+    oracle_equator,
     outcome,
     scratch_arrows,
     segment_crossings,
-    state_edges,
     state_is_free,
     state_items,
     unavoidable_lower_bound,
@@ -127,22 +123,6 @@ def oracle_gap(state_before, request, slot):
     return findings
 
 
-def bisect_gap_findings(state_before, request, slot):
-    """The gap audit of a `PlacementState` before `request` is placed at
-    `slot`, as `harness` ran it before the board: a placed slot left of
-    `slot` has a free slot between exactly when it lies left of the nearest
-    free slot below `slot`, and one right of it when it lies right of the
-    nearest free slot above, so bisections find both runs of candidates."""
-    items = state_items(state_before)
-    slots = [s for s, _ in items]
-    free = free_slots(state_before)
-    below = bisect_left(free, slot)
-    above = bisect_right(free, slot)
-    left_stop = bisect_left(slots, free[below - 1]) if below else 0
-    right_start = bisect_right(slots, free[above]) if above < len(free) else len(items)
-    return gap_pair_findings(request, slot, items, left_stop, right_start)
-
-
 def oracle_double_cross(state, arr=None):
     if arr is None:
         arr = scratch_arrows(state)
@@ -160,17 +140,6 @@ def oracle_double_cross(state, arr=None):
                     f"of slot {slot} ({req.a},{req.b})"
                 )
     return findings
-
-
-def oracle_equator(state, arr=None):
-    if arr is None:
-        arr = scratch_arrows(state)
-    segments = state_edges(state) + list(arr)
-    return [
-        f"cut (v<={i}, s<={i}): {lr} left-to-right vs {rl} right-to-left"
-        for i, (lr, rl) in enumerate(cut_flows(state.n, segments), start=1)
-        if lr != rl
-    ]
 
 
 def oracle_audit_trace(trace):
@@ -208,9 +177,6 @@ def assert_trace_matches(trace):
     kinds and the whole audit output agree with the oracles."""
     state = empty_state(trace.n)
     for step in trace.steps:
-        assert bisect_gap_findings(state, step.request, step.slot) == oracle_gap(
-            state, step.request, step.slot
-        )
         state = apply(state, step.request, step.slot)
         assert_state_matches(state)
     assert pair_type_histogram(trace) == oracle_histogram(trace.final_state)
@@ -473,12 +439,13 @@ def per_step_states(trace):
 
 
 def per_step_audit_trace(trace):
-    """`audit_trace` as it was before the replay board: every step builds a
-    new state, builds its arrows from scratch and runs the per-state
-    audits, each on a board loaded with that state."""
+    """`audit_trace` without the replay board: every step builds a new
+    state, runs the pairwise gap oracle on the state before it, builds its
+    arrows from scratch and runs the per-state double-cross audit on a
+    board loaded with that state."""
     findings = []
     for idx, step, before, state in per_step_states(trace):
-        gap = bisect_gap_findings(before, step.request, step.slot)
+        gap = oracle_gap(before, step.request, step.slot)
         findings.extend(f"step {idx}: {f}" for f in gap)
         try:
             scratch_arrows(state)
