@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Protocol, Union
 
 from .model import Instance, PlacementState, Request, vertex_range_error
@@ -75,7 +76,7 @@ def barycenter_choose(board: ReplayBoard, request: Request) -> int:
 
 
 def greedy_scores(board: ReplayBoard, request: Request) -> list[int]:
-    """Score every free slot t of the board in one pass: the total
+    """Score every free slot t of the board in one sweep: the total
     edge-edge plus edge-arrow crossings with `request` placed at t, minus
     that total at the leftmost free slot, listed in `board.free` order.
 
@@ -89,6 +90,12 @@ def greedy_scores(board: ReplayBoard, request: Request) -> list[int]:
     - sgn(v - u) - sgn(v - w) for each vertex end v there, and the moving
     edges and arrows swap sides, by sgn(u - a) + sgn(u - b) + sgn(w - a)
     + sgn(w - b). A table over 1..n holds sgn(v - a) + sgn(v - b).
+
+    So the sweep takes the swap term of every adjacent pair of free slots
+    at once, then visits the placed requests between the first and the
+    last free slot once each: the i-th placed slot s (from 0) lies between
+    free slots j = s - 2 - i and j + 1, and adds its ends' term to step j.
+    The scores are the prefix sums of the steps.
 
     A board whose candidates have undefined arrows raises the error
     `propagation.arrows` raises for them. O(n) comparisons.
@@ -105,17 +112,15 @@ def greedy_scores(board: ReplayBoard, request: Request) -> list[int]:
     del lv[bisect_left(lv, a)]
     del lv[bisect_left(lv, b)]
     side = [-2] * a + [-1] + [0] * (b - a - 1) + [1] + [2] * (board.n - b)
-    by_slot = board.by_slot
-    score = 0
-    scores = [0]
-    for j, (u, w, t, next_t) in enumerate(zip(lv[::2], lv[1::2], free, free[1:])):
-        score += side[u] + side[w]
-        for _, q in by_slot[t - 1 - j : next_t - 2 - j]:
-            x, y = q.a, q.b
-            score += side[x] + side[y] + (x < u) - (x > u) + (x < w) - (x > w)
-            score += (y < u) - (y > u) + (y < w) - (y > w)
-        scores.append(score)
-    return scores
+    lower, upper = lv[::2], lv[1::2]
+    steps = [side[u] + side[w] for u, w in zip(lower, upper)]
+    first = free[0] - 1
+    for i, (s, q) in enumerate(board.by_slot[first : free[-1] - len(free)], first):
+        j = s - 2 - i
+        u, w, x, y = lower[j], upper[j], q.a, q.b
+        steps[j] += side[x] + side[y] + (x < u) - (x > u) + (x < w) - (x > w)
+        steps[j] += (y < u) - (y > u) + (y < w) - (y > w)
+    return [0, *accumulate(steps)]
 
 
 def greedy_choose(board: ReplayBoard, request: Request) -> int:
@@ -146,14 +151,24 @@ def get_algorithm(name: str) -> OnlineAlgorithm:
     try:
         return ALGORITHMS[name]
     except KeyError:
-        raise KeyError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
+        raise KeyError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}") from None
 
 
-def play(source: Union[Instance, RequestSource], algorithm: OnlineAlgorithm) -> Trace:
+def play(
+    source: Union[Instance, RequestSource],
+    algorithm: OnlineAlgorithm,
+    on_step: Optional[Callable[[int, TraceStep, ReplayBoard], None]] = None,
+) -> Trace:
     """Run a full online game on one `ReplayBoard`, recording each step's
     request, chosen slot and running edge-edge crossing total. The source
     and the algorithm see the live board. A request with a vertex above n
-    raises ValueError before the algorithm is asked for a slot."""
+    raises ValueError before the algorithm is asked for a slot.
+
+    `on_step(index, step, board)`, when given, runs after each placement,
+    with the index counted from 1, the step just recorded and the live
+    board, before the source is asked for its next request. It must read
+    the board only: the game goes on from that board (`harness` audits
+    each state through it)."""
     if isinstance(source, Instance):
         requests = iter(source.requests)
         next_request = lambda board: next(requests, None)
@@ -166,5 +181,8 @@ def play(source: Union[Instance, RequestSource], algorithm: OnlineAlgorithm) -> 
             raise ValueError(f"step {len(steps) + 1}: {vertex_range_error(board.n, request)}")
         slot = algorithm.choose(board, request)
         board.place(request, slot)
-        steps.append(TraceStep(request=request, slot=slot, edge_edge_total=board.edge_edge_total))
+        step = TraceStep(request=request, slot=slot, edge_edge_total=board.edge_edge_total)
+        steps.append(step)
+        if on_step is not None:
+            on_step(len(steps), step, board)
     return Trace(n=board.n, steps=tuple(steps))

@@ -1,9 +1,16 @@
 """Experiment runner: plays algorithms against instances or adaptive
 adversaries, scores each game against the exact optimum its pair-kind
-counts give, audits traces for the invariants the greedy algorithm is
+counts give, audits each state for the invariants the greedy algorithm is
 supposed to maintain, and aggregates sweeps into CSV/JSON reports. `sweep`
 also checks each optimum against the exponential oracle
 (`offline.brute_force_opt`) at the sizes it runs at, up to `offline.MAX_N`.
+
+`run_experiment` scores a game in the pass that plays it: `play` hands each
+step's live board to the per-step audit (`_step_findings`), so nothing is
+replayed. `score_trace`, `audit_trace` and `trace_to_dict` take a stored
+trace instead, and replay it on a new board (`_replay`), checking each
+step's stored total; `score_trace` builds its report as `run_experiment`
+does.
 
 Greedy does not always maintain them: on random 2-regular games, 5 of 400
 traces at n=10 have a double-cross finding and 1 of 50 at n=80 a gap
@@ -26,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .algorithms import OnlineAlgorithm, Trace, play
+from .algorithms import OnlineAlgorithm, Trace, TraceStep, play
 from .crossings import PairKind
 from .model import _strict_int, random_two_regular
 from .offline import MAX_N, brute_force_opt
@@ -168,27 +175,60 @@ def _replay(trace: Trace):
         yield idx, step, board
 
 
-def audit_trace(trace: Trace) -> list[str]:
-    """Replay a trace (`_replay`) and collect invariant findings at every
-    step: the gap audit of the request just placed, then the double-cross
-    audit of the board. These are the two audits that can fire; the flow
-    balance (`propagation.audit_equator`) cannot, and is not run.
+def _step_findings(index: int, step: TraceStep, board: ReplayBoard) -> list[str]:
+    """The findings of one step, on the board just after its placement:
+    the gap audit of the request placed, then the double-cross audit of
+    the board when its arrows are defined (a general, non-2-regular
+    request sequence can leave them undefined). Each finding starts with
+    "step <index>: "."""
+    prefix = f"step {index}: "
+    findings = board.gap_findings(step.slot, prefix)
+    if board.lv is not None:
+        findings += board.double_cross_findings(prefix)
+    return findings
 
-    The double-cross audit is skipped on states where arrows are undefined
-    (possible for general, non-2-regular request sequences); it reads the
-    board's arrow list. The replay checks every step's stored total, so
-    once this returns, the last step's total is the game's checked crossing
-    count (`score_trace` reads it there). Each finding is worded once, with its
-    "step <i>: " prefix, so a caller picks one audit's findings by their
-    wording: "<KIND> pair (" for gaps and "arrows [" for double crosses.
+
+def audit_trace(trace: Trace) -> list[str]:
+    """Replay a stored trace (`_replay`) and collect its invariant findings,
+    step by step (`_step_findings`): the gap audit of the request just
+    placed, then the double-cross audit of the board. These are the two
+    audits that can fire; the flow balance (`propagation.audit_equator`)
+    cannot, and is not run. `run_experiment` collects the same findings on
+    the board that plays the game, without a replay.
+
+    The replay checks every step's stored total, so once this returns, the
+    last step's total is the game's checked crossing count (`score_trace`
+    reads it there). Each finding is worded once, with its "step <i>: "
+    prefix, so a caller picks one audit's findings by their wording:
+    "<KIND> pair (" for gaps and "arrows [" for double crosses.
     """
     findings: list[str] = []
     for idx, step, board in _replay(trace):
-        prefix = f"step {idx}: "
-        findings.extend(board.gap_findings(step.slot, prefix))
-        if board.lv is not None:
-            findings.extend(board.double_cross_findings(prefix))
+        findings += _step_findings(idx, step, board)
     return findings
+
+
+def _report(
+    trace: Trace,
+    alg_name: str,
+    source_id: str,
+    opt_value: Optional[int],
+    findings: list[str],
+) -> RatioReport:
+    """The report of a game whose findings are collected and whose stored
+    totals are checked: the crossings are the last step's total (0 for an
+    empty trace), and the optimum is `opt_value` or, when that is None,
+    the one its pair-kind histogram gives (`_histogram_opt`)."""
+    histogram = pair_type_histogram(trace)
+    return RatioReport(
+        alg_name=alg_name,
+        source_id=source_id,
+        n=trace.n,
+        alg_crossings=trace.steps[-1].edge_edge_total if trace.steps else 0,
+        opt_crossings=_histogram_opt(histogram) if opt_value is None else opt_value,
+        pair_type_histogram=histogram,
+        audit_findings=tuple(findings),
+    )
 
 
 def score_trace(
@@ -197,8 +237,9 @@ def score_trace(
     source_id: str,
     opt_value: Optional[int] = None,
 ) -> RatioReport:
-    """Report a finished game's crossings and the exact optimum of the
-    instance it realized, with its pair-kind histogram and audit findings.
+    """Report a stored game's crossings and the exact optimum of the
+    instance it realized, with its pair-kind histogram and audit findings,
+    through the same report as `run_experiment`.
 
     By default the optimum is read from the histogram, one count for both:
     each pair's minimum crossings summed (`_histogram_opt`). A caller's
@@ -210,19 +251,7 @@ def score_trace(
     checked every step's total: a stale total raises `ReplayMismatchError`
     instead of being reported.
     """
-    histogram = pair_type_histogram(trace)
-    if opt_value is None:
-        opt_value = _histogram_opt(histogram)
-    findings = audit_trace(trace)
-    return RatioReport(
-        alg_name=alg_name,
-        source_id=source_id,
-        n=trace.n,
-        alg_crossings=trace.steps[-1].edge_edge_total if trace.steps else 0,
-        opt_crossings=opt_value,
-        pair_type_histogram=histogram,
-        audit_findings=tuple(findings),
-    )
+    return _report(trace, alg_name, source_id, opt_value, audit_trace(trace))
 
 
 def run_experiment(
@@ -231,10 +260,15 @@ def run_experiment(
     source_id: str = "",
     opt_value: Optional[int] = None,
 ) -> tuple[RatioReport, Trace]:
-    """Play one full game and score it with `score_trace`."""
-    trace = play(source, algorithm)
+    """Play one full game and score it in the same pass: `play` hands each
+    step's live board to `_step_findings`, so the game is played and
+    audited on one board, with no replay. Its totals come from that board,
+    so the report is the one `score_trace` gives for the trace, with the
+    same findings and optimum (`opt_value` as there)."""
+    findings: list[str] = []
+    trace = play(source, algorithm, on_step=lambda *args: findings.extend(_step_findings(*args)))
     source_id = source_id or getattr(source, "name", "instance")
-    return score_trace(trace, algorithm.name, source_id, opt_value=opt_value), trace
+    return _report(trace, algorithm.name, source_id, opt_value, findings), trace
 
 
 def sweep(algorithm: OnlineAlgorithm, ns: Iterable[int], trials: int, seed: int) -> SweepResult:

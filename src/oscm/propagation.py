@@ -1,12 +1,13 @@
 """The library's one layout engine and the propagation arrows read off it.
 
-`ReplayBoard` is a mutable board that `algorithms.play` drives, that
-`harness` replays a trace on for the audits and the per-step edge-arrow
-counts, and that `render` and the per-state functions here load a single
-state on. It edits sorted lists in place as each request is placed, so a
-step reads the board's lists instead of a new `PlacementState` and a new
-arrow set. Request sources and algorithms read `free`, `degree` and
-`by_slot` directly.
+`ReplayBoard` is a mutable board that `algorithms.play` drives (and
+`harness.run_experiment` audits as it is played), that `harness` replays a
+stored trace on for the audits and the per-step edge-arrow counts, and
+that `render` and the per-state functions here load a single state on.
+It edits sorted lists in place as each request is placed, so a step reads
+the board's lists instead of a new `PlacementState` and a new arrow set.
+Request sources and algorithms read `free`, `degree` and `by_slot`
+directly.
 
 The propagation arrows are a greedy matching of missing vertex degrees to
 free slot capacity that lower-bounds the crossings still to come. The
@@ -70,16 +71,17 @@ class ReplayBoard:
     an unavailable slot or a vertex above n before it edits anything, so
     every placement is applied whole or not at all.
 
-    A trace replay runs the two audits that can fire on it: the gap audit
-    of each placement (`gap_findings`) and the double-cross audit
-    (`double_cross_findings`). The flow balance cannot fail on its arrows;
-    `audit_equator` checks it on one state.
+    A scored game, played or replayed, runs the two audits that can fire
+    on it after each placement: the gap audit of the placement
+    (`gap_findings`) and the double-cross audit (`double_cross_findings`).
+    The flow balance cannot fail on its arrows; `audit_equator` checks it
+    on one state.
 
-    Request sources and algorithms read the live lists `free`, `degree`
-    and `by_slot` (greedy also `lv`) and must not edit them. A placement
-    is a few bisections and list edits, plus a pass over the placed
-    requests on the shorter side of its slot for the crossings it adds:
-    none at either end of the layout.
+    Request sources, algorithms and `play`'s per-step hook read the live
+    lists `free`, `degree` and `by_slot` (greedy also `lv`) and must not
+    edit them. A placement is a few bisections and list edits, plus a pass
+    over the placed requests on the shorter side of its slot for the
+    crossings it adds: none at either end of the layout.
     """
 
     def __init__(self, n: int):
@@ -297,7 +299,7 @@ def audit_equator(state: PlacementState) -> list[str]:
     free slot two arrows). With c = #(v <= i, s <= i), left-to-right is
     #(v <= i) - c = 2i - c and right-to-left is #(s <= i) - c = 2i - c.
     So the audit cannot fire on any state `arrows` accepts. It is a check
-    of the board's arrow bookkeeping, run per state: a trace replay does
+    of the board's arrow bookkeeping, run per state: a scored game does
     not run it, and the tests apply it at every step of the acceptance
     sweeps. A segment (v, s), an edge or an arrow, crosses cut i left to
     right when v <= i < s and right to left when s <= i < v.

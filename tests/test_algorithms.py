@@ -110,8 +110,11 @@ def test_first_fit():
 
 def test_get_algorithm():
     assert get_algorithm("greedy") is GREEDY
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as info:
         get_algorithm("nope")
+    assert info.value.args == ("unknown algorithm 'nope'; choose from ['barycenter', 'first_fit', 'greedy']",)
+    # Raised from None: its traceback does not add the table's own KeyError.
+    assert info.value.__cause__ is None and info.value.__suppress_context__
 
 
 def test_play_duplicate_pair():
@@ -422,6 +425,36 @@ def test_play_copies_no_state(monkeypatch):
         for source in sources:
             trace = play(source(), alg)
             assert trace.final_state.n == len(trace.steps)
+
+
+def test_play_calls_on_step_after_each_placement_with_the_live_board():
+    # The adversaries' requests depend on the board the hook reads; on the
+    # general instance vertex 1 reaches degree 3, which greedy refuses.
+    general = Instance(n=4, requests=(Request(1, 2), Request(1, 3), Request(1, 4), Request(2, 3)))
+    sources = [lambda: random_two_regular(12, seed=3), lambda: thm1_adversary(7)]
+    sources += [lambda: thm2_adversary(2)]
+    games = [(alg, make) for alg in ALGORITHMS.values() for make in sources]
+    games += [(alg, lambda: general) for alg in (BARYCENTER, FIRST_FIT)]
+    for alg, make in games:
+        source = make()
+        events = []
+        ask = getattr(source, "next_request", None)
+        if ask is not None:
+            source.next_request = lambda board: events.append("ask") or ask(board)
+
+        def on_step(index, step, board):
+            assert board.edge_edge_total == step.edge_edge_total
+            assert len(board.by_slot) == index
+            assert (step.slot, step.request) in board.by_slot
+            events.append((index, step))
+
+        trace = play(source, alg, on_step)
+        steps = [event for event in events if event != "ask"]
+        assert steps == list(enumerate(trace.steps, start=1))
+        if ask is not None:
+            # Each step is reported before the source is asked again.
+            assert events == [e for step in steps for e in ("ask", step)] + ["ask"]
+        assert play(make(), alg) == trace
 
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))

@@ -329,9 +329,9 @@ def test_adversary_plays_the_game_once(monkeypatch, capsys):
 
     games = []
 
-    def counting_play(source, algorithm):
+    def counting_play(source, algorithm, on_step=None):
         games.append(algorithm.name)
-        return oscm.algorithms.play(source, algorithm)
+        return oscm.algorithms.play(source, algorithm, on_step)
 
     monkeypatch.setattr(oscm.cli, "play", counting_play)
     monkeypatch.setattr(oscm.harness, "play", counting_play)

@@ -98,6 +98,30 @@ def test_score_trace_is_the_scoring_half_of_run_experiment():
     assert score_trace(trace, "greedy", "s", opt_value=3).opt_crossings == 3
 
 
+def test_run_experiment_plays_once_and_never_replays(monkeypatch):
+    import oscm.algorithms
+    import oscm.harness
+
+    def refuse(trace):
+        raise AssertionError("run_experiment replayed its trace")
+
+    games = []
+
+    def counting_play(source, algorithm, on_step=None):
+        games.append(algorithm.name)
+        return oscm.algorithms.play(source, algorithm, on_step)
+
+    inst = random_two_regular(40, seed=3)
+    expected, _ = run_experiment(GREEDY, inst)
+    monkeypatch.setattr(oscm.harness, "_replay", refuse)
+    monkeypatch.setattr(oscm.harness, "play", counting_play)
+    report, trace = run_experiment(GREEDY, inst)
+    assert games == ["greedy"]
+    assert report == expected and report.alg_crossings == trace.steps[-1].edge_edge_total
+    with pytest.raises(AssertionError, match="replayed"):
+        audit_trace(trace)
+
+
 def test_audit_trace_rejects_stale_later_total():
     # The running total is checked at every step, not only the first.
     trace = play(random_two_regular(6, seed=4), GREEDY)

@@ -36,6 +36,7 @@ from oscm.harness import (
     ReplayMismatchError,
     audit_trace,
     pair_type_histogram,
+    run_experiment,
     score_trace,
     trace_to_dict,
 )
@@ -192,31 +193,35 @@ def random_slot_algorithm(seed):
 ALL_ALGORITHMS = [ALGORITHMS[name] for name in sorted(ALGORITHMS)]
 
 
-def two_regular_games(alg):
+# Each family yields (source, algorithm) pairs built fresh on every call,
+# as an adversary and a random-slot algorithm serve one game each.
+
+
+def two_regular_setups(alg):
     # Every size up to 24, then every fourth up to 40: the cubic oracles
     # make the largest games the slowest.
     for n in [*range(2, 25), 28, 32, 36, 40]:
         for seed in range(3) if n <= 12 else (n,):
-            yield play(random_two_regular(n, seed), alg)
+            yield random_two_regular(n, seed), alg
 
 
-def adversary_games(alg):
+def adversary_setups(alg):
     sources = [thm1_adversary(n) for n in (4, 7, 12)]
     sources += [thm2_adversary(rounds) for rounds in (1, 2)]
     sources += [fig8_instance(n) for n in (4, 8, 14)]
     for source in sources:
-        yield play(source, alg)
+        yield source, alg
 
 
-def random_slot_games():
+def random_slot_setups():
     # Random slot choices reach far more double-cross and gap findings than
     # any of the three algorithms.
     for n in range(2, 21):
         for seed in range(4):
-            yield play(random_two_regular(n, seed), random_slot_algorithm(seed))
+            yield random_two_regular(n, seed), random_slot_algorithm(seed)
 
 
-def general_games():
+def general_setups():
     # Requests drawn with replacement: vertices may exceed degree two, so
     # arrows are undefined on some states and both sides skip the same ones.
     rng = random.Random(7)
@@ -224,13 +229,24 @@ def general_games():
         n = rng.randint(2, 14)
         count = rng.randint(0, n)
         requests = tuple(Request(*sorted(rng.sample(range(1, n + 1), 2))) for _ in range(count))
-        yield play(Instance(n=n, requests=requests), random_slot_algorithm(n))
+        yield Instance(n=n, requests=requests), random_slot_algorithm(n)
+
+
+def grid_setups():
+    for alg in ALL_ALGORITHMS:
+        yield from two_regular_setups(alg)
+        yield from adversary_setups(alg)
+    yield from random_slot_setups()
+    yield from general_setups()
+
+
+def played(setups):
+    return [play(source, alg) for source, alg in setups]
 
 
 @functools.cache
 def all_grid_games():
-    games = [g for alg in ALL_ALGORITHMS for g in (*two_regular_games(alg), *adversary_games(alg))]
-    return (*games, *random_slot_games(), *general_games())
+    return tuple(played(grid_setups()))
 
 
 # ------------------------------------------------------------------- tests
@@ -251,24 +267,36 @@ def test_classify_pair_matches_simulation_on_every_pair():
 
 @pytest.mark.parametrize("alg", ALL_ALGORITHMS, ids=lambda a: a.name)
 def test_scoring_matches_oracles_on_random_two_regular_games(alg):
-    for trace in two_regular_games(alg):
+    for trace in played(two_regular_setups(alg)):
         assert_trace_matches(trace)
 
 
 @pytest.mark.parametrize("alg", ALL_ALGORITHMS, ids=lambda a: a.name)
 def test_scoring_matches_oracles_on_adversaries(alg):
-    for trace in adversary_games(alg):
+    for trace in played(adversary_setups(alg)):
         assert_trace_matches(trace)
 
 
 def test_scoring_matches_oracles_on_random_slot_games():
-    for trace in random_slot_games():
+    for trace in played(random_slot_setups()):
         assert_trace_matches(trace)
 
 
 def test_scoring_matches_oracles_on_general_instances():
-    for trace in general_games():
+    for trace in played(general_setups()):
         assert_trace_matches(trace)
+
+
+def test_run_experiment_scores_each_game_as_its_replay_does():
+    # One pass on the board that plays the game gives the report that the
+    # replay of its stored trace gives, and the per-step oracles' findings.
+    traces = []
+    for source, alg in grid_setups():
+        report, trace = run_experiment(alg, source, "grid")
+        assert report == score_trace(trace, alg.name, "grid")
+        assert list(report.audit_findings) == oracle_audit_trace(trace)
+        traces.append(trace)
+    assert tuple(traces) == all_grid_games()
 
 
 def test_scoring_matches_oracles_on_partial_and_hand_built_states():
