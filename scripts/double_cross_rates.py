@@ -1,11 +1,12 @@
 """How many random greedy games end up with a double-cross or a gap finding.
 
 Plays greedy on `random_two_regular(n, seed)` for seed = 0, 1, ..., count - 1
-at each size, audits each trace once with `oscm.harness.audit_trace`, and
-counts per audit the games with at least one finding and the findings in
-all: double crosses (`oscm.propagation.audit_no_double_cross`, findings
-worded "arrows [") and gaps (a 4-0 or 3-0 pair with a free slot between,
-worded "<KIND> pair ("). Deterministic; run from the repository root:
+at each size through `oscm.harness.run_experiment`, which audits each game
+on the board that plays it, and counts per audit, in the report's
+findings, the games with at least one finding and the findings in all:
+double crosses (`oscm.propagation.audit_no_double_cross`, findings worded
+"arrows [") and gaps (a 4-0 or 3-0 pair with a free slot between, worded
+"<KIND> pair ("). Deterministic; run from the repository root:
 
     PYTHONPATH=src python3 scripts/double_cross_rates.py
     PYTHONPATH=src python3 scripts/double_cross_rates.py 10:400 20:200
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import sys
 
-from oscm import GREEDY, audit_trace, play, random_two_regular
+from oscm import GREEDY, random_two_regular, run_experiment
 
 DEFAULT = ((10, 400), (20, 200), (40, 100), (80, 50), (160, 20), (320, 10))
 KINDS = (": arrows [", " pair (")
@@ -26,7 +27,7 @@ def rate(n: int, count: int) -> list[tuple[int, int]]:
     0..count-1 at size n."""
     totals = [[0, 0] for _ in KINDS]
     for seed in range(count):
-        findings = audit_trace(play(random_two_regular(n, seed), GREEDY))
+        findings = run_experiment(GREEDY, random_two_regular(n, seed))[0].audit_findings
         for total, kind in zip(totals, KINDS):
             found = sum(kind in f for f in findings)
             total[0] += found > 0

@@ -5,13 +5,6 @@ supposed to maintain, and aggregates sweeps into CSV/JSON reports. `sweep`
 also checks each optimum against the exponential oracle
 (`offline.brute_force_opt`) at the sizes it runs at, up to `offline.MAX_N`.
 
-`run_experiment` scores a game in the pass that plays it: `play` hands each
-step's live board to the per-step audit (`_step_findings`), so nothing is
-replayed. `score_trace`, `audit_trace` and `trace_to_dict` take a stored
-trace instead, and replay it on a new board (`_replay`), checking each
-step's stored total; `score_trace` builds its report as `run_experiment`
-does.
-
 Greedy does not always maintain them: on random 2-regular games, 5 of 400
 traces at n=10 have a double-cross finding and 1 of 50 at n=80 a gap
 finding, and both shares grow with n (the README's rates,
@@ -19,7 +12,14 @@ finding, and both shares grow with n (the README's rates,
 greedy's double crosses: on the 7-vertex game of acceptance criterion 9,
 both resolutions of its one tie reach one. The baselines do not try to
 keep them. The flow-balance identity (`propagation.audit_equator`) holds
-on every state whose arrows are defined, so a replay does not check it.
+on every state whose arrows are defined, so no audit here checks it.
+
+`run_experiment` scores a game in the pass that plays it: `play` hands each
+step's live board to the per-step audit (`_step_findings`), so nothing is
+replayed. It is the one place a `RatioReport` is built. A stored trace has
+two readers, `audit_trace` and `trace_to_dict`, which replay it on a new
+board (`_replay`) and check each step's placement and stored total; they
+audit and serialize it, and never score it.
 """
 
 from __future__ import annotations
@@ -196,62 +196,17 @@ def audit_trace(trace: Trace) -> list[str]:
     cannot, and is not run. `run_experiment` collects the same findings on
     the board that plays the game, without a replay.
 
-    The replay checks every step's stored total, so once this returns, the
-    last step's total is the game's checked crossing count (`score_trace`
-    reads it there). Each finding is worded once, with its "step <i>: "
-    prefix, so a caller picks one audit's findings by their wording:
-    "<KIND> pair (" for gaps and "arrows [" for double crosses.
+    The replay checks every step's placement and stored total, so a trace
+    whose slot the board refuses or whose total is stale raises
+    `ReplayMismatchError` at that step instead of being audited. Each
+    finding is worded once, with its "step <i>: " prefix, so a caller picks
+    one audit's findings by their wording: "<KIND> pair (" for gaps and
+    "arrows [" for double crosses.
     """
     findings: list[str] = []
     for idx, step, board in _replay(trace):
         findings += _step_findings(idx, step, board)
     return findings
-
-
-def _report(
-    trace: Trace,
-    alg_name: str,
-    source_id: str,
-    opt_value: Optional[int],
-    findings: list[str],
-) -> RatioReport:
-    """The report of a game whose findings are collected and whose stored
-    totals are checked: the crossings are the last step's total (0 for an
-    empty trace), and the optimum is `opt_value` or, when that is None,
-    the one its pair-kind histogram gives (`_histogram_opt`)."""
-    histogram = pair_type_histogram(trace)
-    return RatioReport(
-        alg_name=alg_name,
-        source_id=source_id,
-        n=trace.n,
-        alg_crossings=trace.steps[-1].edge_edge_total if trace.steps else 0,
-        opt_crossings=_histogram_opt(histogram) if opt_value is None else opt_value,
-        pair_type_histogram=histogram,
-        audit_findings=tuple(findings),
-    )
-
-
-def score_trace(
-    trace: Trace,
-    alg_name: str,
-    source_id: str,
-    opt_value: Optional[int] = None,
-) -> RatioReport:
-    """Report a stored game's crossings and the exact optimum of the
-    instance it realized, with its pair-kind histogram and audit findings,
-    through the same report as `run_experiment`.
-
-    By default the optimum is read from the histogram, one count for both:
-    each pair's minimum crossings summed (`_histogram_opt`). A caller's
-    `opt_value` replaces it, and the ratio reported is relative to whatever
-    value the caller supplies.
-
-    The algorithm's crossing count is the last step's stored total (0 for
-    an empty trace), read only after the replay of `audit_trace` has
-    checked every step's total: a stale total raises `ReplayMismatchError`
-    instead of being reported.
-    """
-    return _report(trace, alg_name, source_id, opt_value, audit_trace(trace))
 
 
 def run_experiment(
@@ -262,13 +217,27 @@ def run_experiment(
 ) -> tuple[RatioReport, Trace]:
     """Play one full game and score it in the same pass: `play` hands each
     step's live board to `_step_findings`, so the game is played and
-    audited on one board, with no replay. Its totals come from that board,
-    so the report is the one `score_trace` gives for the trace, with the
-    same findings and optimum (`opt_value` as there)."""
+    audited on one board, with no replay. This is where every report is
+    built.
+
+    The algorithm's crossings are the last step's total (0 for an empty
+    game), counted on that board. The optimum is `opt_value` when the
+    caller gives one, and the ratio is then relative to it; by default it
+    is read from the game's pair-kind histogram, each pair's minimum
+    crossings summed (`_histogram_opt`)."""
     findings: list[str] = []
     trace = play(source, algorithm, on_step=lambda *args: findings.extend(_step_findings(*args)))
-    source_id = source_id or getattr(source, "name", "instance")
-    return _report(trace, algorithm.name, source_id, opt_value, findings), trace
+    histogram = pair_type_histogram(trace)
+    report = RatioReport(
+        alg_name=algorithm.name,
+        source_id=source_id or getattr(source, "name", "instance"),
+        n=trace.n,
+        alg_crossings=trace.steps[-1].edge_edge_total if trace.steps else 0,
+        opt_crossings=_histogram_opt(histogram) if opt_value is None else opt_value,
+        pair_type_histogram=histogram,
+        audit_findings=tuple(findings),
+    )
+    return report, trace
 
 
 def sweep(algorithm: OnlineAlgorithm, ns: Iterable[int], trials: int, seed: int) -> SweepResult:

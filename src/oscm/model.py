@@ -125,7 +125,11 @@ def empty_state(n: int) -> PlacementState:
 
 def unavailable_slot_error(n: int, slot: int) -> ValueError:
     """The error for placing into `slot` on an n-slot board where it is not
-    free: SlotRangeError outside 1..n, SlotOccupiedError otherwise."""
+    free: SlotRangeError for a slot that is not an int (a bool, a float or
+    a string, as in `_strict_int`) or lies outside 1..n, SlotOccupiedError
+    otherwise."""
+    if type(slot) is not int:
+        return SlotRangeError(f"slot must be an integer, got {slot!r}")
     if not (1 <= slot <= n):
         return SlotRangeError(f"slot {slot} out of range 1..{n}")
     return SlotOccupiedError(f"slot {slot} is already fulfilled")
@@ -138,10 +142,10 @@ def vertex_range_error(n: int, request: Request) -> ValueError:
 
 
 def apply(state: PlacementState, request: Request, slot: int) -> PlacementState:
-    """Record `request` at `slot`, returning the new state. An unavailable
-    slot, then a vertex above n, raises the error `ReplayBoard.place`
-    raises."""
-    if not 1 <= slot <= state.n or slot in state.placed:
+    """Record `request` at `slot`, returning the new state. A slot that is
+    not an int or not free, then a vertex above n, raises the error
+    `ReplayBoard.place` raises."""
+    if type(slot) is not int or not 1 <= slot <= state.n or slot in state.placed:
         raise unavailable_slot_error(state.n, slot)
     if request.b > state.n:
         raise vertex_range_error(state.n, request)

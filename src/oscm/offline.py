@@ -4,12 +4,13 @@ The (a, b)-sorted order is exactly optimal at every size (the proof is in
 `sorted_order_value`). `sorted_order_opt` lays that order out and counts
 it once, and `sorted_order_value` returns that count without the witness. The
 exponential subset dynamic program (`brute_force_opt`) stays as the exact
-oracle that `harness.sweep` and the tests check the closed form against;
-`harness.score_trace` reads the same optimum from a game's pair-kind
-counts. Because crossings between two requests depend only on
-their relative slot order, the optimum over all injective slot assignments
-equals the optimum over request orderings, which makes the subset program
-exact and far cheaper than enumerating slot permutations.
+oracle that `harness.sweep` and the tests check the closed form against.
+`harness.run_experiment` reads the same optimum from a game's pair-kind
+counts, without laying out an order. Because crossings between two
+requests depend only on their relative slot order, the optimum over all
+injective slot assignments equals the optimum over request orderings,
+which makes the subset program exact and far cheaper than enumerating
+slot permutations.
 """
 
 from __future__ import annotations

@@ -104,9 +104,9 @@ class ReplayBoard:
         return board
 
     def place(self, request: Request, slot: int) -> None:
-        """Record `request` at `slot`. An unavailable slot, then a vertex
-        above n, raises the error `model.apply` raises, and the board is
-        left as it was.
+        """Record `request` at `slot`. A slot that is not an int or not
+        free, then a vertex above n, raises the error `model.apply` raises,
+        and the board is left as it was.
 
         The new edges cross every placed edge on the left with a vertex
         above theirs and every one on the right with a vertex below. Two
@@ -116,7 +116,8 @@ class ReplayBoard:
         side of `slot` are then visited, each moved to its true side by
         the signs of its ends against a and b (`_above_minus_below`)."""
         free = self.free
-        k = bisect_left(free, slot)
+        # A slot of another type is refused before a bisection compares it.
+        k = bisect_left(free, slot) if type(slot) is int else len(free)
         if k == len(free) or free[k] != slot:
             raise unavailable_slot_error(self.n, slot)
         a, b = request.a, request.b
@@ -218,14 +219,15 @@ class ReplayBoard:
         fulfilled slot with findings and O(1) list work per finding.
         """
         lv, free = self.lv, self.free
-        heads: list[str | None] = [None] * len(free)
+        nfree = len(free)
+        heads: list[str | None] = [None] * nfree
         findings = []
         for i, (slot, req) in enumerate(self.by_slot):
             split = slot - 1 - i
             a, b = req.a, req.b
             if split and lv[2 * split - 2] > b:
                 first, stop = (bisect_right(lv, b, 0, 2 * split - 2) + 1) // 2, split
-            elif split < len(free) and lv[2 * split + 1] < a:
+            elif split < nfree and lv[2 * split + 1] < a:
                 first, stop = split, bisect_left(lv, a, 2 * split + 2) // 2
             else:
                 continue

@@ -67,9 +67,10 @@ def realized_instance(trace):
 
 def unavoidable_lower_bound(trace) -> int:
     """Sum of per-pair unavoidable crossings over the trace's pair-kind
-    histogram, read through the formula `score_trace` takes its optimum
-    from, so the tests that compare it against an oracle reach that
-    formula."""
+    histogram, read through the formula (`harness._histogram_opt`) that
+    `run_experiment` takes its default optimum from, so the tests that
+    compare it against an oracle, or a report's optimum against it, reach
+    that formula."""
     return _histogram_opt(pair_type_histogram(trace))
 
 

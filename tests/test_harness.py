@@ -18,7 +18,6 @@ from oscm.harness import (
     audit_trace,
     pair_type_histogram,
     run_experiment,
-    score_trace,
     sweep,
     write_csv,
     write_json,
@@ -89,13 +88,6 @@ def test_greedy_leaves_a_gap_on_a_random_game():
     findings = audit_trace(play(random_two_regular(80, 27), GREEDY))
     gaps = [f for f in findings if " pair (" in f]
     assert gaps == ["step 46: THREE_ZERO pair (54,55)@65 vs (55,71)@57 with a free slot between"]
-
-
-def test_score_trace_is_the_scoring_half_of_run_experiment():
-    inst = random_two_regular(8, seed=2)
-    report, trace = run_experiment(GREEDY, inst, source_id="s")
-    assert score_trace(trace, "greedy", "s") == report
-    assert score_trace(trace, "greedy", "s", opt_value=3).opt_crossings == 3
 
 
 def test_run_experiment_plays_once_and_never_replays(monkeypatch):

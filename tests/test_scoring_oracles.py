@@ -37,7 +37,6 @@ from oscm.harness import (
     audit_trace,
     pair_type_histogram,
     run_experiment,
-    score_trace,
     trace_to_dict,
 )
 from oscm.model import (
@@ -288,13 +287,17 @@ def test_scoring_matches_oracles_on_general_instances():
 
 
 def test_run_experiment_scores_each_game_as_its_replay_does():
-    # One pass on the board that plays the game gives the report that the
-    # replay of its stored trace gives, and the per-step oracles' findings.
+    # One pass on the board that plays the game gives the findings of the
+    # replay of its stored trace and of the per-step oracles, the final
+    # layout's crossings and the unavoidable lower bound as the optimum.
     traces = []
     for source, alg in grid_setups():
         report, trace = run_experiment(alg, source, "grid")
-        assert report == score_trace(trace, alg.name, "grid")
-        assert list(report.audit_findings) == oracle_audit_trace(trace)
+        assert (report.alg_name, report.source_id, report.n) == (alg.name, "grid", trace.n)
+        assert list(report.audit_findings) == audit_trace(trace) == oracle_audit_trace(trace)
+        assert report.alg_crossings == total_crossings(trace.final_state)
+        assert report.opt_crossings == unavoidable_lower_bound(trace)
+        assert report.pair_type_histogram == pair_type_histogram(trace)
         traces.append(trace)
     assert tuple(traces) == all_grid_games()
 
@@ -356,20 +359,15 @@ def test_pair_kinds_match_oracles_on_request_multisets(layout):
     assert pair_type_histogram(layout_trace(reordered, permuted)) == histogram
 
 
-def test_score_trace_alg_is_the_final_layout_total_on_game_grids():
-    for trace in all_grid_games():
-        report = score_trace(trace, "alg", "grid", opt_value=1)
-        assert report.alg_crossings == total_crossings(trace.final_state)
-
-
-def test_score_trace_rejects_a_stale_total_instead_of_scoring_it():
+def test_replay_readers_reject_a_stale_total_at_every_step():
     trace = play(random_two_regular(8, 0), ALGORITHMS["greedy"])
     for idx, step in enumerate(trace.steps):
         steps = list(trace.steps)
         steps[idx] = replace(step, edge_edge_total=step.edge_edge_total + 1)
         stale = replace(trace, steps=tuple(steps))
-        with pytest.raises(ReplayMismatchError, match=f"^step {idx + 1} stored edge-edge"):
-            score_trace(stale, "greedy", "stale")
+        for read in (audit_trace, trace_to_dict):
+            with pytest.raises(ReplayMismatchError, match=f"^step {idx + 1} stored edge-edge"):
+                read(stale)
 
 
 def test_total_crossings_matches_oracle_on_arbitrary_items():
@@ -699,6 +697,27 @@ def test_board_refuses_a_placement_before_it_edits_anything(request_, slot, erro
     board.place(Request(1, 2), 2)
     fresh = ReplayBoard.of(PlacementState(n=5, placed={**BOARD_5, 2: Request(1, 2)}))
     assert board_lists(board) == board_lists(fresh)
+
+
+@pytest.mark.parametrize("slot", [True, 2.0, "2"], ids=["bool", "float", "str"])
+def test_a_slot_that_is_not_an_int_is_refused_before_anything_is_edited(slot):
+    # A bool is not taken as slot 1, nor a float as the free slot it equals.
+    error = f"^slot must be an integer, got {re.escape(repr(slot))}$"
+    board = ReplayBoard.of(PlacementState(n=5, placed=BOARD_5))
+    before = board_lists(board)
+    with pytest.raises(SlotRangeError, match=error):
+        board.place(Request(1, 2), slot)
+    assert board_lists(board) == before
+    with pytest.raises(SlotRangeError, match=error):
+        apply(empty_state(3), Request(1, 2), slot)
+    scripted = OnlineAlgorithm(name="scripted", choose=lambda board, request: slot)
+    with pytest.raises(SlotRangeError, match=error):
+        play(Instance(n=3, requests=(Request(1, 2),)), scripted)
+    trace = Trace(n=3, steps=(TraceStep(Request(1, 2), slot, 0),))
+    for read in (audit_trace, trace_to_dict):
+        with pytest.raises(ReplayMismatchError, match=error.replace("^", "^step 1: ")):
+            read(trace)
+    assert_replays_agree(trace)
 
 
 def double_cross_state(n, pairs, slots):

@@ -72,15 +72,15 @@ def test_ab_runs_one_pair_against_the_same_tree(tmp_path):
     assert data["digest_mismatches"] == 0
 
 
-def load_ab():
-    spec = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_ab_verdicts_on_hand_valued_runs():
-    verdicts = load_ab().verdicts
+    verdicts = load_script("ab").verdicts
     parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
     # Lower is better: 9 of 10 wins, medians 1.00 -> 0.90 against a parent
     # quartile distance of 0.035.
@@ -99,3 +99,31 @@ def test_ab_verdicts_on_hand_valued_runs():
     assert verdicts(parent, [1.2] * 10, "lower", 0.05)["regression"] == "unresolved"
     assert verdicts(parent, [0.5] * 10, "lower", 0.05)["regression"] == "within bound"
     assert verdicts(parent, [1.2] * 10, "lower", 0.1)["regression"] == "worse than bound"
+
+
+CODE_LINES_SAMPLE = '''"""A module docstring
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+# a comment-only line
+
+
+class Board:
+    """A class docstring."""
+
+    size = 3
+
+    def place(self):
+        """A function docstring."""
+        # an indented comment-only line
+        text = """a string that is
+not a docstring"""
+        return text
+'''
+
+
+def test_code_lines_skips_docstrings_comment_only_lines_and_blanks():
+    # Counted: the import, the class and def lines, `size`, the two lines
+    # of the string that is not a docstring and the return.
+    assert load_script("code_lines").code_lines(CODE_LINES_SAMPLE) == 7
