@@ -176,25 +176,23 @@ def _replay(trace: Trace):
 
 
 def _step_findings(index: int, step: TraceStep, board: ReplayBoard) -> list[str]:
-    """The findings of one step, on the board just after its placement:
-    the gap audit of the request placed, then the double-cross audit of
-    the board when its arrows are defined (a general, non-2-regular
-    request sequence can leave them undefined). Each finding starts with
-    "step <index>: "."""
-    prefix = f"step {index}: "
-    findings = board.gap_findings(step.slot, prefix)
-    if board.lv is not None:
-        findings += board.double_cross_findings(prefix)
-    return findings
+    """The findings of one step, on the board just after its placement,
+    from one sweep of the board (`ReplayBoard.findings`): the gap audit of
+    the request placed, then the double-cross audit of the board when its
+    arrows are defined (a general, non-2-regular request sequence can
+    leave them undefined). Each finding starts with "step <index>: "."""
+    return board.findings(f"step {index}: ", step.slot)
 
 
 def audit_trace(trace: Trace) -> list[str]:
     """Replay a stored trace (`_replay`) and collect its invariant findings,
     step by step (`_step_findings`): the gap audit of the request just
-    placed, then the double-cross audit of the board. These are the two
-    audits that can fire; the flow balance (`propagation.audit_equator`)
-    cannot, and is not run. `run_experiment` collects the same findings on
-    the board that plays the game, without a replay.
+    placed, then the double-cross audit of the board, both from one sweep
+    of the board per step that formats text only for a finding. These are
+    the two audits that can fire; the flow balance
+    (`propagation.audit_equator`) cannot, and is not run. `run_experiment`
+    collects the same findings on the board that plays the game, without a
+    replay.
 
     The replay checks every step's placement and stored total, so a trace
     whose slot the board refuses or whose total is stale raises

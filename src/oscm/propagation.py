@@ -19,7 +19,12 @@ are monotone in both coordinates, so arrows never cross each other.
 `arrows`, `audit_no_double_cross` and `audit_equator` load one
 `PlacementState` on a board and read its arrows, the double-crossing
 configurations the greedy algorithm was believed to avoid, and the flow
-balance identity that holds for every reachable state.
+balance identity that holds for every reachable state. A board's one
+audit sweep (`ReplayBoard.findings`) serves both the per-state
+double-cross audit and the per-step audits of a scored game: it tests
+the gap and the double-cross configurations in one pass over the
+fulfilled slots and builds text only for a finding, at the cost of one
+string concatenation per finding.
 """
 
 from __future__ import annotations
@@ -72,10 +77,11 @@ class ReplayBoard:
     every placement is applied whole or not at all.
 
     A scored game, played or replayed, runs the two audits that can fire
-    on it after each placement: the gap audit of the placement
-    (`gap_findings`) and the double-cross audit (`double_cross_findings`).
-    The flow balance cannot fail on its arrows; `audit_equator` checks it
-    on one state.
+    on it after each placement, the gap audit of the placement and the
+    double-cross audit, in one sweep of `by_slot` (`findings`). A fulfilled
+    slot keeps its request, so the sweep keeps the slot's finding tail in
+    `tails` once formatted. The flow balance cannot fail on its arrows;
+    `audit_equator` checks it on one state.
 
     Request sources, algorithms and `play`'s per-step hook read the live
     lists `free`, `degree` and `by_slot` (greedy also `lv`) and must not
@@ -93,11 +99,17 @@ class ReplayBoard:
         # On the empty board every vertex misses both its edges.
         self.lv: list[int] | None = [v for v in range(1, n + 1) for _ in range(2)]
         self.ends: list[int] = []
+        self.tails: dict[int, str] = {}
 
     @classmethod
     def of(cls, state: PlacementState) -> ReplayBoard:
         """A board holding the placements of `state`, placed in slot order:
-        the first placement `place` refuses raises its error."""
+        the first placement `place` refuses raises its error. A slot that is
+        not an int is refused first, before the sort compares it with
+        another."""
+        for slot in state.placed:
+            if type(slot) is not int:
+                raise unavailable_slot_error(state.n, slot)
         board = cls(state.n)
         for slot, request in sorted(state.placed.items()):
             board.place(request, slot)
@@ -168,83 +180,93 @@ class ReplayBoard:
             for v in (q.a, q.b)
         )
 
-    def gap_findings(self, slot: int, prefix: str) -> list[str]:
-        """The gap findings of the request just placed at `slot`, each
-        starting with `prefix`. A placed slot left of `slot` has a free slot
-        between exactly when it lies left of the nearest free slot below
-        `slot`, and one right of it when it lies right of the nearest free
-        slot above; their placed-slot counts bound the two runs, with no
-        search. With k free slots left of `slot`, those are free[k - 1] and
-        free[k], and the request sits at by_slot[slot - 1 - k].
+    def findings(self, prefix: str = "", slot: int | None = None) -> list[str]:
+        """The audit findings of the board, each starting with `prefix`:
+        with a `slot`, the gap findings of the request just placed there
+        first; then, when the arrows are defined, the double-cross findings
+        of every fulfilled slot. One pass over `by_slot` tests both.
 
-        A finding is a 4-0 or 3-0 pair in crossing order (swapping it would
-        remove every crossing) with a free slot between. With L the request
-        in the left slot and R the one in the right slot, a pair is in
-        crossing order exactly when L.a >= R.b. It then has 4 crossings as
-        placed when L.a > R.b and 3 when L.a = R.b, as the two edges at
-        that vertex meet without crossing.
+        The i-th fulfilled slot s (a, b), counting from 0, has p = s - 1 - i
+        free slots left of it.
+
+        Gap audit. With k free slots left of `slot`, a fulfilled slot has a
+        free slot between it and `slot` exactly when p < k (it lies left)
+        or p > k (right). A finding is a 4-0 or 3-0 pair in crossing order
+        (swapping it would remove every crossing) with a free slot between.
+        With L the request in the left slot and R the one in the right
+        slot, a pair is in crossing order exactly when L.a >= R.b. It then
+        has 4 crossings as placed when L.a > R.b and 3 when L.a = R.b, as
+        the two edges at that vertex meet without crossing.
+
+        Double-cross audit: two arrows into one free slot (a target) that
+        both cross both edges of a fulfilled slot. The j-th free slot's
+        arrows are lv[2j] and lv[2j + 1], so both its lower and its upper
+        arrow vertex are nondecreasing in j. An arrow into a slot left of
+        (a, b) crosses both edges when its vertex lies above b, one into a
+        slot right of it when its vertex lies below a. So the offending
+        left targets are a suffix of the first p, and the right ones a
+        prefix of the rest. The lower vertices padded with a 0 in front
+        (`lo`) and the upper ones with n + 1 behind (`hi`) put the nearest
+        targets of both sides at lo[p] and hi[p]: the slot offends exactly
+        when lo[p] > b or hi[p] < a, with no case for the two ends of the
+        layout, and at most one side can. Only a run longer than one target
+        is bisected for its end.
+
+        Text is built only for a finding: each target's head (up to the
+        fulfilled slot) once per call, and each fulfilled slot's tail
+        "<slot> (a,b)" once per board, in `tails`, as a fulfilled slot
+        never changes its request. So a call costs O(placed) comparisons,
+        one bisection per run longer than one target and one concatenation
+        and append per finding.
         """
-        free, by_slot = self.free, self.by_slot
-        k = bisect_left(free, slot)
-        left_stop = free[k - 1] - k if k else 0
-        right_start = free[k] - k - 1 if k < len(free) else len(by_slot)
-        a, b = by_slot[slot - 1 - k][1].vertices
-        pairs = [(s, q, q.a > b) for s, q in by_slot[:left_stop] if q.a >= b]
-        pairs += [(s, q, a > q.b) for s, q in by_slot[right_start:] if a >= q.b]
-        return [
-            f"{prefix}{(PairKind.FOUR_ZERO if four else PairKind.THREE_ZERO).name} pair "
-            f"({a},{b})@{slot} vs ({q.a},{q.b})@{other_slot} with a free slot between"
-            for other_slot, q, four in pairs
-        ]
-
-    def double_cross_findings(self, prefix: str = "") -> list[str]:
-        """The double-cross findings of the board, each starting with
-        `prefix`: two arrows into one free slot that both cross both edges
-        of a fulfilled slot.
-
-        The j-th free slot's two arrows are lv[2j] and lv[2j + 1], so both
-        its lower and its upper arrow vertex are nondecreasing in j. An
-        arrow into a slot left of the fulfilled slot (a, b) crosses both
-        edges when its vertex lies above b, one into a slot right of it
-        when its vertex lies below a. The i-th fulfilled slot s, counting
-        from 0, has split = s - 1 - i free slots left of it. So its left
-        targets whose lower vertex lies above b are a suffix of the first
-        split, and its right targets whose upper vertex lies below a a
-        prefix of the rest. Both are empty unless the nearest target on
-        that side qualifies, which is one comparison, and at most one side
-        does (lv[2 split - 2] <= lv[2 split + 1]); only then does one
-        bisection of `lv` find where the run ends. A target's finding text
-        up to the fulfilled slot is formatted once, when it first falls in
-        a run. So a call costs O(placed) comparisons, one bisection per
-        fulfilled slot with findings and O(1) list work per finding.
-        """
-        lv, free = self.lv, self.free
+        lv, n, free = self.lv, self.n, self.free
         nfree = len(free)
+        if lv is None:
+            # Sentinels that no fulfilled slot offends against.
+            lo, hi = [0] * (nfree + 1), [n + 1] * (nfree + 1)
+        else:
+            lo, hi = [0, *lv[0::2]], [*lv[1::2], n + 1]
+        if slot is None:
+            # No fulfilled slot lies on a side of a gap test that can fire.
+            k, ga, gb = 0, 0, n + 1
+        else:
+            k = bisect_left(free, slot)
+            ga, gb = self.by_slot[slot - 1 - k][1].vertices
+        gaps: list[str] = []
+        crosses: list[str] = []
         heads: list[str | None] = [None] * nfree
-        findings = []
-        for i, (slot, req) in enumerate(self.by_slot):
-            split = slot - 1 - i
-            a, b = req.a, req.b
-            if split and lv[2 * split - 2] > b:
-                first, stop = (bisect_right(lv, b, 0, 2 * split - 2) + 1) // 2, split
-            elif split < nfree and lv[2 * split + 1] < a:
-                first, stop = split, bisect_left(lv, a, 2 * split + 2) // 2
+        tails = self.tails
+        for i, (s, q) in enumerate(self.by_slot):
+            p = s - 1 - i
+            a, b = q.a, q.b
+            if p < k and a >= gb or p > k and ga >= b:
+                four = a > gb if p < k else ga > b
+                gaps.append(
+                    f"{prefix}{(PairKind.FOUR_ZERO if four else PairKind.THREE_ZERO).name} pair "
+                    f"({ga},{gb})@{slot} vs ({a},{b})@{s} with a free slot between"
+                )
+            if lo[p] > b:
+                first = p - 1 if lo[p - 1] <= b else bisect_right(lo, b, 1, p - 1) - 1
+                stop = p
+            elif hi[p] < a:
+                first = p
+                stop = p + 1 if hi[p + 1] >= a else bisect_left(hi, a, p + 2)
             else:
                 continue
-            run = heads[first:stop]
-            # Only a run with a new target pays a Python loop over it.
-            if None in run:
-                for j in range(first, stop):
-                    if heads[j] is None:
-                        t = free[j]
-                        heads[j] = (
-                            f"{prefix}arrows [({lv[2 * j]}, {t}), ({lv[2 * j + 1]}, {t})] "
-                            f"into slot {t} each cross both edges of slot "
-                        )
-                run = heads[first:stop]
-            tail = f"{slot} ({a},{b})"
-            findings.extend([head + tail for head in run])
-        return findings
+            tail = tails.get(s)
+            if tail is None:
+                tail = tails[s] = f"{s} ({a},{b})"
+            for j in range(first, stop):
+                head = heads[j]
+                if head is None:
+                    t = free[j]
+                    head = heads[j] = (
+                        f"{prefix}arrows [({lo[j + 1]}, {t}), ({hi[j]}, {t})] "
+                        f"into slot {t} each cross both edges of slot "
+                    )
+                crosses.append(head + tail)
+        gaps += crosses
+        return gaps
 
 
 def _arrow_board(state: PlacementState) -> ReplayBoard:
@@ -284,11 +306,11 @@ def audit_no_double_cross(state: PlacementState) -> list[str]:
     and 320 (10). The audit reports the configuration; callers decide
     whether a finding is an error.
 
-    `ReplayBoard.double_cross_findings` finds them with one comparison per
-    side of each fulfilled slot, and a bisection only where the nearest
-    target on that side offends.
+    `ReplayBoard.findings`, called with no slot, finds them with one
+    comparison per side of each fulfilled slot, and a bisection only where
+    a run of offending targets is longer than one.
     """
-    return _arrow_board(state).double_cross_findings()
+    return _arrow_board(state).findings()
 
 
 def audit_equator(state: PlacementState) -> list[str]:

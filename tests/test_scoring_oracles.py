@@ -56,6 +56,7 @@ from oscm.propagation import (
     audit_equator,
     audit_no_double_cross,
 )
+from oscm.render import render_svg
 from oracles import (
     added_crossings,
     edge_arrow_crossings,
@@ -284,6 +285,19 @@ def test_scoring_matches_oracles_on_random_slot_games():
 def test_scoring_matches_oracles_on_general_instances():
     for trace in played(general_setups()):
         assert_trace_matches(trace)
+
+
+@pytest.mark.parametrize("alg", [ALGORITHMS["barycenter"], ALGORITHMS["first_fit"]], ids=lambda a: a.name)
+def test_findings_match_the_oracle_on_the_adversary_cli_games(alg):
+    # The games of `oscm adversary` that the benchmark times, far above the
+    # grid's sizes: fig8 and first_fit games are heavy with findings.
+    sources = [thm2_adversary(rounds) for rounds in (4, 6, 8, 10)]
+    sources += [make(n) for make in (thm1_adversary, fig8_instance) for n in (20, 40)]
+    for source in sources:
+        report, trace = run_experiment(alg, source)
+        expected = oracle_audit_trace(trace)
+        assert list(report.audit_findings) == expected
+        assert audit_trace(trace) == expected
 
 
 def test_run_experiment_scores_each_game_as_its_replay_does():
@@ -720,6 +734,14 @@ def test_a_slot_that_is_not_an_int_is_refused_before_anything_is_edited(slot):
     assert_replays_agree(trace)
 
 
+def test_a_state_that_mixes_slot_types_is_refused_before_it_is_sorted():
+    # Sorting the slots '1' and 2 would raise a bare TypeError.
+    state = PlacementState(n=3, placed={"1": Request(1, 2), 2: Request(2, 3)})
+    for read in (render_svg, arrows, audit_no_double_cross, audit_equator):
+        with pytest.raises(SlotRangeError, match="^slot must be an integer, got '1'$"):
+            read(state)
+
+
 def double_cross_state(n, pairs, slots):
     return PlacementState(n=n, placed={s: Request(*p) for p, s in zip(pairs, slots)})
 
@@ -746,11 +768,32 @@ def double_cross_state(n, pairs, slots):
         # The arrows into slot 3, (1, 3) and (2, 3), straddle a = 2 of slot
         # 1: no finding on either side.
         (double_cross_state(4, [(2, 3), (1, 4)], [1, 2]), []),
+        # A left run of one target with a free slot beyond it, whose arrow
+        # (1, 1) lies below b = 2, and a right run of one with a free slot
+        # beyond it, whose arrow (3, 3) lies above a = 2: neither is bisected.
+        (double_cross_state(4, [(1, 2)], [3]), [(3, [2])]),
+        (double_cross_state(4, [(2, 3)], [1]), [(1, [2])]),
+        # A left run that reaches the first target, and right runs that
+        # reach the last one.
+        (double_cross_state(4, [(1, 2), (1, 2)], [1, 4]), [(4, [2, 3])]),
+        (double_cross_state(4, [(3, 4), (3, 4)], [1, 2]), [(1, [3, 4]), (2, [3, 4])]),
+        # Runs whose next target fails by one vertex: the arrows into slot 1,
+        # (2, 1) and (3, 1), have lower vertex b = 2 of slot 4, and those
+        # into slot 5, (3, 5) and (4, 5), upper vertex a = 4 of slot 2.
+        (double_cross_state(5, [(1, 2), (1, 3)], [4, 5]), [(4, [2, 3]), (5, [2, 3])]),
+        (double_cross_state(5, [(1, 5), (4, 5)], [1, 2]), [(2, [3, 4])]),
+        # The nearest target fails by one vertex: the arrows into slot 2,
+        # (3, 2) and (4, 2), have lower vertex b = 3 of slot 3.
+        (double_cross_state(4, [(1, 3), (1, 4)], [3, 4]), []),
     ],
 )
 def test_double_cross_audit_at_split_extremes(state, targets):
     findings = audit_no_double_cross(state)
     assert findings == oracle_double_cross(state)
+    # A second sweep of one board reads the fulfilled slots' tails as the
+    # first one formatted them.
+    board = ReplayBoard.of(state)
+    assert board.findings() == board.findings() == findings
     found = [
         (int(f.split(" of slot ")[1].split()[0]), int(f.split(" into slot ")[1].split()[0]))
         for f in findings
