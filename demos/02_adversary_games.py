@@ -20,7 +20,7 @@ game's pair-kind counts and exact at every size.
 Run: python3 demos/02_adversary_games.py
 """
 
-from oscm.adversaries import fig8_instance, thm1_adversary, thm2_adversary
+from oscm.adversaries import Thm1Adversary, Thm2Adversary, fig8_instance
 from oscm.algorithms import BARYCENTER, GREEDY, OnlineAlgorithm
 from oscm.harness import run_experiment
 
@@ -34,7 +34,7 @@ def path_adversary_demo() -> None:
         return candidates[0] if candidates else 5
 
     alg = OnlineAlgorithm(name="leave_slot_5", choose=leave_slot_5)
-    report, trace = run_experiment(alg, thm1_adversary(n))
+    report, trace = run_experiment(alg, Thm1Adversary(n))
     print(f"n={n}: {alg.name} pays {report.alg_crossings} crossings, "
           f"optimum is {report.opt_crossings}")
     print(f"final request (aimed at the hole): "
@@ -45,7 +45,7 @@ def path_adversary_demo() -> None:
 def adaptive_adversary_demo() -> None:
     print("== adaptive adversary vs greedy ==")
     for rounds in (1, 4, 8):
-        report, _ = run_experiment(GREEDY, thm2_adversary(rounds))
+        report, _ = run_experiment(GREEDY, Thm2Adversary(rounds))
         print(f"rounds={rounds:2} n={report.n:3}: greedy={report.alg_crossings:4} "
               f"opt={report.opt_crossings:4} ratio={report.ratio:.3f}")
     print()

@@ -19,14 +19,14 @@ Run: python3 demos/03_arrows_and_audits.py
 """
 
 from oscm.algorithms import FIRST_FIT, GREEDY, play
-from oscm.model import Request, apply, empty_state, random_two_regular
+from oscm.model import PlacementState, Request, apply, random_two_regular
 from oscm.propagation import arrows, audit_equator, audit_no_double_cross
-from oscm.render import RenderSpec, render_svg
+from oscm.render import render_svg
 
 
 def arrow_walkthrough() -> None:
     print("== arrows on a partial board (n=5) ==")
-    state = apply(empty_state(5), Request(1, 3), 2)
+    state = apply(PlacementState(5), Request(1, 3), 2)
     state = apply(state, Request(3, 5), 5)
     print("placed: (1,3)@2 and (3,5)@5")
     print(f"arrows (vertex -> slot): {list(arrows(state))}")
@@ -34,7 +34,7 @@ def arrow_walkthrough() -> None:
 
     out = "arrows_example.svg"
     with open(out, "w") as fh:
-        fh.write(render_svg(state, RenderSpec(show_arrows=True)))
+        fh.write(render_svg(state, show_arrows=True))
     print(f"wrote {out}")
     print()
 
@@ -44,7 +44,7 @@ def double_cross_demo() -> None:
     inst = random_two_regular(9, seed=39)
     for alg in (FIRST_FIT, GREEDY):
         trace = play(inst, alg)
-        state = empty_state(inst.n)
+        state = PlacementState(inst.n)
         hits = []
         for i, step in enumerate(trace.steps, start=1):
             state = apply(state, step.request, step.slot)

@@ -14,7 +14,7 @@ Library layout:
 - :mod:`oscm.render` — deterministic SVG rendering.
 """
 
-from .adversaries import endgame_fill, fig8_instance, thm1_adversary, thm2_adversary
+from .adversaries import Thm1Adversary, Thm2Adversary, endgame_fill, fig8_instance
 from .algorithms import (
     ALGORITHMS,
     BARYCENTER,
@@ -47,7 +47,6 @@ from .model import (
     RegularityClass,
     Request,
     apply,
-    empty_state,
     load_instance,
     make_request,
     random_two_regular,
@@ -56,6 +55,6 @@ from .model import (
 )
 from .offline import OptResult, brute_force_opt, sorted_order_opt, sorted_order_value
 from .propagation import arrows, audit_equator, audit_no_double_cross
-from .render import RenderSpec, render_svg
+from .render import render_svg
 
 __version__ = "0.1.0"

@@ -126,14 +126,6 @@ class Thm2Adversary(_RequestScript):
         yield from fill
 
 
-def thm1_adversary(n: int) -> Thm1Adversary:
-    return Thm1Adversary(n)
-
-
-def thm2_adversary(rounds: int) -> Thm2Adversary:
-    return Thm2Adversary(rounds)
-
-
 def fig8_instance(n: int) -> Instance:
     """Duplicated consecutive pairs, presented right to left; the barycenter
     rule walks leftward and must dump the final request at the far right."""

@@ -127,8 +127,12 @@ def greedy_choose(board: ReplayBoard, request: Request) -> int:
     """Pick the free slot whose insertion minimizes total edge-edge plus
     edge-arrow crossings. `greedy_scores` shifts every score by the same
     constant, which leaves the minimizers as they are. `index` finds the
-    first minimum in `free` order, so ties go to the leftmost slot; a
-    single free slot is taken without scoring."""
+    first minimum in `free` order, so ties go to the leftmost slot.
+
+    A single free slot is taken without scoring. Scoring it would need
+    arrows that can be undefined there: thm1's last request raises a vertex
+    to degree 3, where `greedy_scores` raises DegreeOverflowError, so
+    greedy finishes that game only through this shortcut."""
     if len(board.free) == 1:
         return board.free[0]
     scores = greedy_scores(board, request)

@@ -19,12 +19,12 @@ import sys
 import traceback
 from typing import Optional, Sequence
 
-from .adversaries import fig8_instance, thm1_adversary, thm2_adversary
+from .adversaries import Thm1Adversary, Thm2Adversary, fig8_instance
 from .algorithms import ALGORITHMS, get_algorithm, play
 from .harness import run_experiment, sweep, write_csv, write_json
-from .model import empty_state, load_instance
+from .model import PlacementState, load_instance
 from .offline import sorted_order_opt
-from .render import RenderSpec, render_svg
+from .render import render_svg
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -101,12 +101,12 @@ def _cmd_adversary(args) -> int:
     if args.name == "thm2":
         if args.n is not None:
             raise ValueError("--n does not apply to thm2, whose board size follows --rounds")
-        source = thm2_adversary(1 if args.rounds is None else args.rounds)
+        source = Thm2Adversary(1 if args.rounds is None else args.rounds)
     else:
         if args.rounds is not None:
             raise ValueError(f"--rounds applies only to thm2, not {args.name}")
         n = 10 if args.n is None else args.n
-        source = thm1_adversary(n) if args.name == "thm1" else fig8_instance(n)
+        source = Thm1Adversary(n) if args.name == "thm1" else fig8_instance(n)
     return _play_and_report(source, f"{args.name}(n={source.n})", args)
 
 
@@ -152,14 +152,14 @@ def _cmd_render(args) -> int:
         if args.algo:
             state = play(instance, get_algorithm(args.algo)).final_state
         else:
-            state = empty_state(instance.n)
+            state = PlacementState(instance.n)
     elif args.n is not None:
         if args.n < 1:
             raise ValueError(f"render needs --n >= 1, got {args.n}")
-        state = empty_state(args.n)
+        state = PlacementState(args.n)
     else:
         raise ValueError("render needs --instance or --n")
-    svg = render_svg(state, RenderSpec(show_arrows=not args.no_arrows))
+    svg = render_svg(state, show_arrows=not args.no_arrows)
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(svg)

@@ -15,11 +15,17 @@ keep them. The flow-balance identity (`propagation.audit_equator`) holds
 on every state whose arrows are defined, so no audit here checks it.
 
 `run_experiment` scores a game in the pass that plays it: `play` hands each
-step's live board to the per-step audit (`_step_findings`), so nothing is
-replayed. It is the one place a `RatioReport` is built. A stored trace has
-two readers, `audit_trace` and `trace_to_dict`, which replay it on a new
-board (`_replay`) and check each step's placement and stored total; they
-audit and serialize it, and never score it.
+step's live board to its `on_step` hook, which reads the step's findings
+off that board (`ReplayBoard.findings`), so nothing is replayed. It is the
+one place a `RatioReport` is built. A stored trace has two readers,
+`audit_trace` and `trace_to_dict`, which replay it on a new board
+(`_replay`) and check each step's placement and stored total; they audit
+and serialize it, and never score it. Both audits word each step's
+findings the same way: `board.findings(f"step {i}: ", step.slot)`, the gap
+audit of the request just placed, then the double-cross audit of the board
+when its arrows are defined (a general, non-2-regular request sequence can
+leave them undefined), from one sweep of the board that formats text only
+for a finding.
 """
 
 from __future__ import annotations
@@ -175,24 +181,14 @@ def _replay(trace: Trace):
         yield idx, step, board
 
 
-def _step_findings(index: int, step: TraceStep, board: ReplayBoard) -> list[str]:
-    """The findings of one step, on the board just after its placement,
-    from one sweep of the board (`ReplayBoard.findings`): the gap audit of
-    the request placed, then the double-cross audit of the board when its
-    arrows are defined (a general, non-2-regular request sequence can
-    leave them undefined). Each finding starts with "step <index>: "."""
-    return board.findings(f"step {index}: ", step.slot)
-
-
 def audit_trace(trace: Trace) -> list[str]:
     """Replay a stored trace (`_replay`) and collect its invariant findings,
-    step by step (`_step_findings`): the gap audit of the request just
-    placed, then the double-cross audit of the board, both from one sweep
-    of the board per step that formats text only for a finding. These are
-    the two audits that can fire; the flow balance
-    (`propagation.audit_equator`) cannot, and is not run. `run_experiment`
-    collects the same findings on the board that plays the game, without a
-    replay.
+    step by step, on the replayed board (`ReplayBoard.findings` with the
+    step's slot): the gap audit of the request just placed, then the
+    double-cross audit of the board. These are the two audits that can
+    fire; the flow balance (`propagation.audit_equator`) cannot, and is not
+    run. `run_experiment` collects the same findings on the board that
+    plays the game, without a replay.
 
     The replay checks every step's placement and stored total, so a trace
     whose slot the board refuses or whose total is stale raises
@@ -203,7 +199,7 @@ def audit_trace(trace: Trace) -> list[str]:
     """
     findings: list[str] = []
     for idx, step, board in _replay(trace):
-        findings += _step_findings(idx, step, board)
+        findings += board.findings(f"step {idx}: ", step.slot)
     return findings
 
 
@@ -214,17 +210,26 @@ def run_experiment(
     opt_value: Optional[int] = None,
 ) -> tuple[RatioReport, Trace]:
     """Play one full game and score it in the same pass: `play` hands each
-    step's live board to `_step_findings`, so the game is played and
-    audited on one board, with no replay. This is where every report is
-    built.
+    step's live board to the `on_step` hook, which collects the step's
+    findings off it (`ReplayBoard.findings` with the step's slot, worded as
+    `audit_trace` words them), so the game is played and audited on one
+    board, with no replay. This is where every report is built.
 
     The algorithm's crossings are the last step's total (0 for an empty
     game), counted on that board. The optimum is `opt_value` when the
     caller gives one, and the ratio is then relative to it; by default it
     is read from the game's pair-kind histogram, each pair's minimum
-    crossings summed (`_histogram_opt`)."""
+    crossings summed (`_histogram_opt`). An `opt_value` that is not an int
+    (a bool, a float or a string, as in `model._strict_int`) or is negative
+    raises ValueError before the game is played."""
+    if opt_value is not None and _strict_int(opt_value, "opt_value") < 0:
+        raise ValueError(f"need opt_value >= 0, got {opt_value}")
     findings: list[str] = []
-    trace = play(source, algorithm, on_step=lambda *args: findings.extend(_step_findings(*args)))
+
+    def on_step(index: int, step: TraceStep, board: ReplayBoard) -> None:
+        findings.extend(board.findings(f"step {index}: ", step.slot))
+
+    trace = play(source, algorithm, on_step=on_step)
     histogram = pair_type_histogram(trace)
     report = RatioReport(
         alg_name=algorithm.name,

@@ -119,10 +119,6 @@ class Assignment:
             raise ValueError("assignment maps two requests to the same slot")
 
 
-def empty_state(n: int) -> PlacementState:
-    return PlacementState(n=n, placed={})
-
-
 def unavailable_slot_error(n: int, slot: int) -> ValueError:
     """The error for placing into `slot` on an n-slot board where it is not
     free: SlotRangeError for a slot that is not an int (a bool, a float or

@@ -16,6 +16,29 @@ repeated once per missing edge) with the ordered list of unfulfilled slots
 (each free slot repeated twice), position by position. Consecutive arrows
 are monotone in both coordinates, so arrows never cross each other.
 
+The bound is a potential. Let LB be a board's edge-edge total plus its
+edge-arrow total (`edge_arrow_total`). A proof sketch:
+- Any completion's future edges pair the same two multisets as the
+  arrows: the unfulfilled vertices `lv` and the doubled free slots.
+- A future edge (u, t) crosses a placed edge (v, s) when u and t lie on
+  opposite sides of it. So the least number of future edges crossing
+  (v, s) over all such pairings depends only on how many future ends lie
+  below v, at v, and left of s.
+- The sorted pairing, the arrows, attains that least number for every
+  placed edge at once. So LB never exceeds the final crossings of any
+  completion, the algorithm's included.
+- Placing a request pairs two of those vertex ends with its slot. Its two
+  edges plus the new arrows then pair the old multisets, so they cross
+  the old edges at least as often as the old arrows did, and LB cannot
+  fall.
+- LB is 0 on an empty board. A full board has no arrows, so there LB is
+  the algorithm's crossings.
+
+So the algorithm's crossings are the sum of LB's steps, each at least 0.
+Greedy places each request where the next LB is least
+(`algorithms.greedy_scores`). `tests/test_propagation.py` checks all of
+this against crossings counted from scratch.
+
 `arrows`, `audit_no_double_cross` and `audit_equator` load one
 `PlacementState` on a board and read its arrows, the double-crossing
 configurations the greedy algorithm was believed to avoid, and the flow

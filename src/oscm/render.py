@@ -7,10 +7,9 @@ golden-tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .model import PlacementState
+from .model import PlacementState, _strict_int
 from .propagation import ReplayBoard
 
 _STYLE = (
@@ -25,21 +24,22 @@ WIDTH = 640
 HEIGHT = 240
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    show_arrows: bool = True
-    highlight: Optional[tuple[int, ...]] = None
-
-
 def _fmt(x: float) -> str:
     return f"{x:.1f}"
 
 
-def render_svg(state: PlacementState, spec: RenderSpec = RenderSpec()) -> str:
+def render_svg(
+    state: PlacementState, *, show_arrows: bool = True, highlight: Optional[tuple[int, ...]] = None
+) -> str:
     """Render a state as an SVG document string, read from one
     `ReplayBoard`: a slot outside 1..n raises SlotRangeError and a vertex
     above n ValueError, whether or not arrows are shown. Where a vertex
-    exceeds degree two the arrows are undefined, and none are drawn."""
+    exceeds degree two the arrows are undefined, and none are drawn.
+
+    `highlight` names placed requests by their index in slot order, whose
+    edges are drawn thicker. An index that is not an int (a bool, a float
+    or a string, as in `model._strict_int`) or has no placed request
+    raises ValueError."""
     board = ReplayBoard.of(state)
     n = state.n
     margin = 40.0
@@ -48,12 +48,12 @@ def render_svg(state: PlacementState, spec: RenderSpec = RenderSpec()) -> str:
     bottom_y = HEIGHT - margin
     x = lambda i: margin + (i - 1) * step
 
-    if spec.highlight is not None:
+    if highlight is not None:
         items = board.by_slot
-        for idx in spec.highlight:
-            if not (0 <= idx < len(items)):
+        for idx in highlight:
+            if not (0 <= _strict_int(idx, "highlight index") < len(items)):
                 raise ValueError(f"highlight index {idx} has no placed request")
-        highlighted_slots = {items[idx][0] for idx in spec.highlight}
+        highlighted_slots = {items[idx][0] for idx in highlight}
     else:
         highlighted_slots = set()
 
@@ -65,7 +65,7 @@ def render_svg(state: PlacementState, spec: RenderSpec = RenderSpec()) -> str:
         'orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="gray"/></marker></defs>',
     ]
 
-    if spec.show_arrows and board.lv is not None:
+    if show_arrows and board.lv is not None:
         for v, s in board.arrows():
             parts.append(
                 f'<line class="arrow" x1="{_fmt(x(v))}" y1="{_fmt(bottom_y - 8)}" '

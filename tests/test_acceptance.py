@@ -14,9 +14,9 @@ from oscm.adversaries import (
     CASE1_OFFSETS,
     CASE2_OFFSETS,
     PROBE_OFFSET,
+    Thm1Adversary,
+    Thm2Adversary,
     fig8_instance,
-    thm1_adversary,
-    thm2_adversary,
 )
 from oscm.algorithms import (
     ALGORITHMS,
@@ -32,9 +32,9 @@ from oscm.crossings import PairKind, classify_pair, total_crossings
 from oscm.harness import run_experiment, sweep
 from oscm.model import (
     Instance,
+    PlacementState,
     Request,
     apply,
-    empty_state,
     make_request,
     random_two_regular,
 )
@@ -89,7 +89,7 @@ def test_criterion_2_path_adversary_ratio(capsys):
             return candidates[0] if candidates else 5
 
         alg = OnlineAlgorithm(name="leave_slot_5", choose=leave_slot_5)
-        trace = play(thm1_adversary(n), alg)
+        trace = play(Thm1Adversary(n), alg)
         alg_crossings = total_crossings(trace.final_state)
         assert alg_crossings >= 2 * 2 * (n // 2 - 1) == 16
         opt = brute_force_opt(realized_instance(trace), max_n=10).opt_crossings
@@ -118,7 +118,7 @@ def test_criterion_3_adaptive_adversary(capsys):
             reqs = [probe] + [make_request(i, j) for i, j in offsets]
             results = []
             for p in probe_slots:
-                explore(apply(empty_state(5), probe, p), reqs, 1, results)
+                explore(apply(PlacementState(5), probe, p), reqs, 1, results)
             assert min(results) >= 4
             block_opt = brute_force_opt(Instance(n=5, requests=tuple(reqs))).opt_crossings
             assert block_opt == 3
@@ -126,7 +126,7 @@ def test_criterion_3_adaptive_adversary(capsys):
         # The sorted order attains its value and the per-pair minima bound
         # every layout from below, so their agreement makes OPT exact.
         for rounds in (4, 20, 100):
-            trace = play(thm2_adversary(rounds), GREEDY)
+            trace = play(Thm2Adversary(rounds), GREEDY)
             opt = sorted_order_value(realized_instance(trace))
             assert opt == unavoidable_lower_bound(trace) == 15 * rounds // 4 + 3
             assert total_crossings(trace.final_state) == 5 * rounds + 3
@@ -169,7 +169,7 @@ def test_criterion_5_trace_audits(capsys, greedy_sweep):
             for rec in res.trials:
                 trace = play(random_two_regular(rec.report.n, rec.instance_seed), alg)
                 assert trace.steps[-1].edge_edge_total == rec.report.alg_crossings
-                state = empty_state(trace.n)
+                state = PlacementState(trace.n)
                 for step in trace.steps:
                     state = apply(state, step.request, step.slot)
                     assert audit_equator(state) == []
@@ -220,7 +220,7 @@ def test_criterion_7_barycenter_degradation(capsys):
 
 def test_criterion_8_arrow_golden(capsys):
     def body():
-        state = apply(empty_state(5), Request(1, 3), 2)
+        state = apply(PlacementState(5), Request(1, 3), 2)
         state = apply(state, Request(3, 5), 5)
         assert arrows(state) == (
             (1, 1),

@@ -12,11 +12,10 @@ from oscm.adversaries import (
     PROBE_OFFSET,
     InfeasibleFillError,
     ProtocolError,
+    Thm1Adversary,
     Thm2Adversary,
     endgame_fill,
     fig8_instance,
-    thm1_adversary,
-    thm2_adversary,
 )
 from oscm.algorithms import ALGORITHMS, BARYCENTER, FIRST_FIT, GREEDY, OnlineAlgorithm, play
 from oscm.crossings import total_crossings
@@ -72,12 +71,12 @@ def test_endgame_fill_meets_every_deficit(deficits):
 @pytest.mark.parametrize(
     "build, size, message",
     [
-        (thm1_adversary, 4.5, "n must be an integer, got 4.5"),
-        (thm1_adversary, True, "n must be an integer, got True"),
-        (thm1_adversary, 3, "need n >= 4, got 3"),
-        (thm2_adversary, 1.5, "rounds must be an integer, got 1.5"),
-        (thm2_adversary, True, "rounds must be an integer, got True"),
-        (thm2_adversary, 0, "need rounds >= 1, got 0"),
+        (Thm1Adversary, 4.5, "n must be an integer, got 4.5"),
+        (Thm1Adversary, True, "n must be an integer, got True"),
+        (Thm1Adversary, 3, "need n >= 4, got 3"),
+        (Thm2Adversary, 1.5, "rounds must be an integer, got 1.5"),
+        (Thm2Adversary, True, "rounds must be an integer, got True"),
+        (Thm2Adversary, 0, "need rounds >= 1, got 0"),
         (fig8_instance, 6.0, "n must be an integer, got 6.0"),
         (fig8_instance, 5, "need even n >= 4, got 5"),
     ],
@@ -89,13 +88,13 @@ def test_sources_refuse_a_non_integer_size(build, size, message):
 
 def test_thm1_requires_n4():
     with pytest.raises(ValueError):
-        thm1_adversary(3)
+        Thm1Adversary(3)
 
 
 @pytest.mark.parametrize("hole", range(1, 11))
 def test_thm1_targets_far_side_of_any_hole(hole):
     n = 10
-    trace = play(thm1_adversary(n), leave_slot_algorithm(hole))
+    trace = play(Thm1Adversary(n), leave_slot_algorithm(hole))
     assert len(trace.steps) == n
     final = trace.steps[-1].request
     assert final == (Request(9, 10) if hole <= 5 else Request(1, 2))
@@ -108,14 +107,14 @@ def test_thm1_targets_far_side_of_any_hole(hole):
 
 
 def test_thm1_instance_opt_is_one():
-    trace = play(thm1_adversary(10), leave_slot_algorithm(5))
+    trace = play(Thm1Adversary(10), leave_slot_algorithm(5))
     assert brute_force_opt(realized_instance(trace), max_n=10).opt_crossings == 1
 
 
 def test_thm1_refuses_more_than_one_free_slot_before_the_duplicate():
     # Asked four times with nothing placed, the path's three requests
     # leave all four slots free when the duplicate is due.
-    adversary = thm1_adversary(4)
+    adversary = Thm1Adversary(4)
     board = ReplayBoard(4)
     for _ in range(3):
         adversary.next_request(board)
@@ -134,7 +133,7 @@ def test_thm1_refuses_more_than_one_free_slot_before_the_duplicate():
     ],
 )
 def test_thm2_refuses_a_board_it_cannot_finish(placed, message):
-    adversary = thm2_adversary(1)
+    adversary = Thm2Adversary(1)
     board = ReplayBoard(adversary.n)
     for slot, (a, b) in enumerate(placed, start=1):
         board.place(Request(a, b), slot)
@@ -146,7 +145,7 @@ def test_thm2_board_size():
     assert Thm2Adversary(1).n == 11
     assert Thm2Adversary(20).n == 106
     with pytest.raises(ValueError):
-        thm2_adversary(0)
+        Thm2Adversary(0)
 
 
 @given(
@@ -155,7 +154,7 @@ def test_thm2_board_size():
 )
 @settings(max_examples=20, deadline=None)
 def test_thm2_completes_to_two_regular(name, rounds):
-    trace = play(thm2_adversary(rounds), ALGORITHMS[name])
+    trace = play(Thm2Adversary(rounds), ALGORITHMS[name])
     inst = realized_instance(trace)
     assert inst.n == 5 * rounds + ENDGAME_RESERVE
     assert len(inst.requests) == inst.n
@@ -167,8 +166,8 @@ def test_thm2_completes_to_two_regular(name, rounds):
 def test_every_adversary_realizes_a_complete_instance(name):
     # `oscm adversary` scores large games against the sorted-order value,
     # which needs n requests: no adversary leaves a slot unrequested.
-    sources = [thm1_adversary(n) for n in range(4, 13)]
-    sources += [thm2_adversary(rounds) for rounds in range(1, 5)]
+    sources = [Thm1Adversary(n) for n in range(4, 13)]
+    sources += [Thm2Adversary(rounds) for rounds in range(1, 5)]
     sources += [fig8_instance(n) for n in range(4, 13, 2)]
     for source in sources:
         inst = realized_instance(play(source, ALGORITHMS[name]))
@@ -180,7 +179,7 @@ def test_thm2_round_block_bounds_exhaustive():
     # any probe placement, then any free slot for each follow-up request.
     # Every branch ends with at least 4 crossings among the block's
     # requests, while the block alone can be laid out with 3.
-    from oscm.model import Instance, apply, empty_state, make_request
+    from oscm.model import Instance, PlacementState, apply, make_request
 
     probe = make_request(*PROBE_OFFSET)
 
@@ -198,7 +197,7 @@ def test_thm2_round_block_bounds_exhaustive():
         reqs = block_requests(offsets)
         results = []
         for p in probe_slots:
-            explore(apply(empty_state(5), probe, p), reqs, 1, results)
+            explore(apply(PlacementState(5), probe, p), reqs, 1, results)
         assert min(results) >= 4
         block_opt = brute_force_opt(Instance(n=5, requests=tuple(reqs))).opt_crossings
         assert block_opt == 3
@@ -207,12 +206,12 @@ def test_thm2_round_block_bounds_exhaustive():
 def test_thm2_case_split_follows_probe_placement():
     # first_fit puts the probe at slot 1 (Case 1, 4 requests in the round);
     # an algorithm placing it right of the local third slot triggers Case 2.
-    trace = play(thm2_adversary(1), FIRST_FIT)
+    trace = play(Thm2Adversary(1), FIRST_FIT)
     case1 = [Request(*PROBE_OFFSET)] + [Request(i, j) for i, j in CASE1_OFFSETS]
     assert trace.requests[: len(case1)] == case1
 
     rightmost = OnlineAlgorithm(name="rightmost", choose=lambda board, r: board.free[-1])
-    trace2 = play(thm2_adversary(1), rightmost)
+    trace2 = play(Thm2Adversary(1), rightmost)
     case2 = [Request(*PROBE_OFFSET)] + [Request(i, j) for i, j in CASE2_OFFSETS]
     assert trace2.requests[: len(case2)] == case2
 
@@ -223,7 +222,7 @@ def test_thm2_case_split_at_each_local_slot(k):
     # request skips the leftmost free slot, so round 2's local slots have
     # a gap. Case 1 follows exactly when k <= 3.
     offsets = CASE1_OFFSETS if k <= 3 else CASE2_OFFSETS
-    adversary = thm2_adversary(2)
+    adversary = Thm2Adversary(2)
     n = adversary.n
     probe_steps = {0, 1 + len(offsets)}
 
@@ -250,7 +249,7 @@ def test_thm2_case_split_in_every_round_at_each_free_position(rounds, p):
     # Case 1 requests exactly when p <= 3, in every round.
     offsets = CASE1_OFFSETS if p <= 3 else CASE2_OFFSETS
     choose = lambda board, request: board.free[min(p, len(board.free)) - 1]
-    adversary = thm2_adversary(rounds)
+    adversary = Thm2Adversary(rounds)
     n = adversary.n
     requests = play(adversary, OnlineAlgorithm(name=f"free_at_{p}", choose=choose)).requests
     i = 0
@@ -269,7 +268,7 @@ def test_thm2_baseline_traces_match_pinned_sha256():
     digest = hashlib.sha256()
     for alg in (BARYCENTER, FIRST_FIT):
         for rounds in range(1, 13):
-            for s in play(thm2_adversary(rounds), alg).steps:
+            for s in play(Thm2Adversary(rounds), alg).steps:
                 digest.update(f"{s.request.a},{s.request.b}@{s.slot}:{s.edge_edge_total};".encode())
             digest.update(b"\n")
     assert digest.hexdigest() == "7a4ab6ebb160e5eba065e1534953b51786ade92434a96662dbc4a875d5b5e75f"
@@ -279,7 +278,7 @@ def test_thm2_probe_must_be_placed_exactly_once():
     # Outside `play`, a source can be asked again before its probe is
     # placed, or after two placements; both break the game protocol.
     for extra in (0, 2):
-        adversary = thm2_adversary(1)
+        adversary = Thm2Adversary(1)
         board = ReplayBoard(adversary.n)
         probe = adversary.next_request(board)
         for slot in range(1, extra + 1):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oscm.crossings
 import oscm.model
 import oscm.propagation
-from oscm.adversaries import fig8_instance, thm1_adversary, thm2_adversary
+from oscm.adversaries import Thm1Adversary, Thm2Adversary, fig8_instance
 from oscm.algorithms import (
     ALGORITHMS,
     BARYCENTER,
@@ -28,7 +28,6 @@ from oscm.model import (
     Request,
     SlotRangeError,
     apply,
-    empty_state,
     random_two_regular,
 )
 from oscm.propagation import DegreeOverflowError, ReplayBoard, arrows
@@ -55,18 +54,18 @@ def occupy(state, slots):
 
 
 def test_barycenter_hits_free_target():
-    assert BARYCENTER.choose(ReplayBoard.of(empty_state(5)), Request(2, 4)) == 3
+    assert BARYCENTER.choose(ReplayBoard.of(PlacementState(5)), Request(2, 4)) == 3
 
 
 def test_barycenter_nearest_with_leftmost_tie():
-    board = ReplayBoard.of(occupy(empty_state(5), [3]))
+    board = ReplayBoard.of(occupy(PlacementState(5), [3]))
     assert BARYCENTER.choose(board, Request(2, 4)) == 2
-    board = ReplayBoard.of(occupy(empty_state(5), [2, 3, 4]))
+    board = ReplayBoard.of(occupy(PlacementState(5), [2, 3, 4]))
     assert BARYCENTER.choose(board, Request(2, 4)) == 1
 
 
 def test_barycenter_floors_odd_midpoint():
-    assert BARYCENTER.choose(ReplayBoard.of(empty_state(5)), Request(2, 5)) == 3
+    assert BARYCENTER.choose(ReplayBoard.of(PlacementState(5)), Request(2, 5)) == 3
 
 
 @given(st.integers(1, 12), st.data())
@@ -74,7 +73,7 @@ def test_barycenter_matches_nearest_slot_scan(n, data):
     # The bisection against the plain scan: nearest free slot to the
     # floored midpoint, leftmost on distance ties.
     taken = data.draw(st.sets(st.integers(1, n), max_size=n - 1))
-    board = ReplayBoard.of(occupy(empty_state(n), sorted(taken)))
+    board = ReplayBoard.of(occupy(PlacementState(n), sorted(taken)))
     a = data.draw(st.integers(1, n + 1))
     request = Request(a, data.draw(st.integers(a + 1, n + 2)))
     target = (request.a + request.b) // 2
@@ -83,7 +82,7 @@ def test_barycenter_matches_nearest_slot_scan(n, data):
 
 
 def test_choose_errors_on_full_state():
-    full = ReplayBoard.of(occupy(empty_state(2), [1, 2]))
+    full = ReplayBoard.of(occupy(PlacementState(2), [1, 2]))
     for alg in ALGORITHMS.values():
         with pytest.raises(NoFreeSlotError):
             alg.choose(full, Request(1, 2))
@@ -91,20 +90,20 @@ def test_choose_errors_on_full_state():
 
 def test_greedy_breaks_ties_leftmost():
     # Empty board, duplicate-style first request: both slots score equally.
-    assert GREEDY.choose(ReplayBoard.of(empty_state(2)), Request(1, 2)) == 1
+    assert GREEDY.choose(ReplayBoard.of(PlacementState(2)), Request(1, 2)) == 1
 
 
 def test_greedy_separates_disjoint_pairs():
-    first = GREEDY.choose(ReplayBoard.of(empty_state(4)), Request(3, 4))
-    state = apply(empty_state(4), Request(3, 4), first)
+    first = GREEDY.choose(ReplayBoard.of(PlacementState(4)), Request(3, 4))
+    state = apply(PlacementState(4), Request(3, 4), first)
     slot = GREEDY.choose(ReplayBoard.of(state), Request(1, 2))
     placed_slot = next(iter(state.placed))
     assert slot < placed_slot
 
 
 def test_first_fit():
-    assert FIRST_FIT.choose(ReplayBoard.of(empty_state(3)), Request(2, 3)) == 1
-    board = ReplayBoard.of(occupy(empty_state(3), [1, 2]))
+    assert FIRST_FIT.choose(ReplayBoard.of(PlacementState(3)), Request(2, 3)) == 1
+    board = ReplayBoard.of(occupy(PlacementState(3), [1, 2]))
     assert FIRST_FIT.choose(board, Request(2, 3)) == 3
 
 
@@ -140,7 +139,7 @@ def test_traces_are_legal_and_deterministic(name, n, seed):
     inst = random_two_regular(n, seed)
     trace = play(inst, alg)
     steps = trace_to_dict(trace)["steps"]
-    state = empty_state(n)
+    state = PlacementState(n)
     for i, step in enumerate(trace.steps):
         assert state_is_free(state, step.slot)
         state = apply(state, step.request, step.slot)
@@ -154,7 +153,7 @@ def test_greedy_choice_is_argmin(n, seed):
     # Re-verify every greedy decision: the chosen slot attains the minimum
     # simulated score, and no strictly smaller slot does.
     inst = random_two_regular(n, seed)
-    state = empty_state(n)
+    state = PlacementState(n)
     for req in inst.requests:
         chosen = GREEDY.choose(ReplayBoard.of(state), req)
         scores = {}
@@ -228,7 +227,7 @@ def test_greedy_scores_match_oracle_on_larger_games(n):
 
 @pytest.mark.parametrize("rounds", [1, 2, 3])
 def test_greedy_scores_match_oracle_on_adaptive_adversary(rounds):
-    play(thm2_adversary(rounds), checked_greedy())
+    play(Thm2Adversary(rounds), checked_greedy())
 
 
 @pytest.mark.parametrize("n", [4, 8, 12])
@@ -242,7 +241,7 @@ def test_greedy_scores_on_partial_random_boards():
     for _ in range(200):
         n = rng.randint(2, 10)
         inst = random_two_regular(n, rng.randrange(2**31))
-        state = empty_state(n)
+        state = PlacementState(n)
         for req in inst.requests:
             got = greedy_scores(ReplayBoard.of(state), req)
             naive = naive_greedy_scores(state, req)
@@ -263,7 +262,7 @@ def requests_on_filled_boards(draw):
         pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
         requests = [Request(*sorted(p)) for p in draw(st.lists(pair, min_size=n, max_size=n))]
     placed = draw(st.integers(0, n - 1))
-    state = empty_state(n)
+    state = PlacementState(n)
     for req in requests[:placed]:
         state = apply(state, req, draw(st.sampled_from(free_slots(state))))
     return state, requests[placed]
@@ -283,7 +282,7 @@ def test_greedy_scores_match_oracles_on_random_boards(case):
 
 def test_greedy_degree_overflow_matches_oracle():
     # Vertex 1 already has degree 2; a third request on it has undefined arrows.
-    state = apply(apply(empty_state(4), Request(1, 2), 1), Request(1, 3), 2)
+    state = apply(apply(PlacementState(4), Request(1, 2), 1), Request(1, 3), 2)
     with pytest.raises(DegreeOverflowError) as expected:
         naive_greedy_scores(state, Request(1, 4))
     for fn in (greedy_scores, GREEDY.choose):
@@ -311,7 +310,7 @@ def test_greedy_arrow_mismatch_matches_oracle():
 
 def test_greedy_single_free_slot_skips_scoring():
     # With one slot left the choice is forced, even where arrows are undefined.
-    state = apply(apply(empty_state(3), Request(1, 2), 1), Request(1, 3), 2)
+    state = apply(apply(PlacementState(3), Request(1, 2), 1), Request(1, 3), 2)
     assert GREEDY.choose(ReplayBoard.of(state), Request(1, 2)) == 3
 
 
@@ -323,9 +322,9 @@ def pinned_greedy_games():
         for seed in range(2):
             yield random_two_regular(n, seed)
     for rounds in range(1, 11):
-        yield thm2_adversary(rounds)
+        yield Thm2Adversary(rounds)
     for n in range(4, 41, 2):
-        yield thm1_adversary(n)
+        yield Thm1Adversary(n)
         yield fig8_instance(n)
 
 
@@ -345,7 +344,7 @@ def test_edge_arrow_crossings_matches_naive_count():
     for _ in range(200):
         n = rng.randint(2, 12)
         inst = random_two_regular(n, rng.randrange(2**31))
-        state = empty_state(n)
+        state = PlacementState(n)
         for req in inst.requests:
             state = apply(state, req, rng.choice(free_slots(state)))
             expected = naive_edge_arrow_crossings(state)
@@ -357,7 +356,7 @@ def test_play_running_totals_match_full_recount(n):
     for alg in ALGORITHMS.values():
         trace = play(random_two_regular(n, seed=3 * n), alg)
         steps = trace_to_dict(trace)["steps"]
-        state = empty_state(n)
+        state = PlacementState(n)
         for i, step in enumerate(trace.steps):
             state = apply(state, step.request, step.slot)
             assert step.edge_edge_total == total_crossings(state)
@@ -368,9 +367,9 @@ def test_play_running_totals_match_full_recount(n):
 def test_trace_edge_arrow_totals_are_none_where_arrows_are_undefined(n):
     # thm1's last request overflows a vertex's degree, so that step has no arrows.
     for alg in ALGORITHMS.values():
-        trace = play(thm1_adversary(n), alg)
+        trace = play(Thm1Adversary(n), alg)
         got = [s["edge_arrow_total"] for s in trace_to_dict(trace)["steps"]]
-        state = empty_state(n)
+        state = PlacementState(n)
         expected = []
         for step in trace.steps:
             state = apply(state, step.request, step.slot)
@@ -390,7 +389,7 @@ def test_board_answers_like_a_placement_state():
     rng = random.Random(13)
     for _ in range(100):
         n = rng.randint(2, 10)
-        state = empty_state(n)
+        state = PlacementState(n)
         board = ReplayBoard.of(state)
         for _ in range(rng.randint(0, n)):
             request = Request(*sorted(rng.sample(range(1, n + 1), 2)))
@@ -419,8 +418,8 @@ def test_play_copies_no_state(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if any(value is target for target in targets):
                     monkeypatch.setattr(module, attr, refuse)
-    sources = [lambda: random_two_regular(20, seed=4), lambda: thm1_adversary(8)]
-    sources += [lambda: thm2_adversary(3), lambda: fig8_instance(12)]
+    sources = [lambda: random_two_regular(20, seed=4), lambda: Thm1Adversary(8)]
+    sources += [lambda: Thm2Adversary(3), lambda: fig8_instance(12)]
     for alg in ALGORITHMS.values():
         for source in sources:
             trace = play(source(), alg)
@@ -431,8 +430,8 @@ def test_play_calls_on_step_after_each_placement_with_the_live_board():
     # The adversaries' requests depend on the board the hook reads; on the
     # general instance vertex 1 reaches degree 3, which greedy refuses.
     general = Instance(n=4, requests=(Request(1, 2), Request(1, 3), Request(1, 4), Request(2, 3)))
-    sources = [lambda: random_two_regular(12, seed=3), lambda: thm1_adversary(7)]
-    sources += [lambda: thm2_adversary(2)]
+    sources = [lambda: random_two_regular(12, seed=3), lambda: Thm1Adversary(7)]
+    sources += [lambda: Thm2Adversary(2)]
     games = [(alg, make) for alg in ALGORITHMS.values() for make in sources]
     games += [(alg, lambda: general) for alg in (BARYCENTER, FIRST_FIT)]
     for alg, make in games:

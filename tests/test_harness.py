@@ -9,8 +9,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oscm.adversaries import thm1_adversary
-from oscm.algorithms import ALGORITHMS, FIRST_FIT, GREEDY, play
+from oscm.adversaries import Thm1Adversary
+from oscm.algorithms import ALGORITHMS, FIRST_FIT, GREEDY, OnlineAlgorithm, play
 from oscm.crossings import PairKind, total_crossings
 from oscm.harness import (
     RatioReport,
@@ -32,7 +32,7 @@ def test_run_experiment_report_consistency():
     # value of the requests played, and the exponential oracle where that
     # runs. The thm1 game repeats a request, so one vertex has degree 3.
     sources = [random_two_regular(n, seed=5) for n in (7, 10, 16, 40)]
-    for source, algorithm in product([*sources, thm1_adversary(8)], ALGORITHMS.values()):
+    for source, algorithm in product([*sources, Thm1Adversary(8)], ALGORITHMS.values()):
         report, trace = run_experiment(algorithm, source, source_id="t")
         inst = realized_instance(trace)
         assert report.opt_crossings == sorted_order_value(inst)
@@ -66,6 +66,23 @@ def test_external_opt_value_used():
     inst = random_two_regular(6, seed=1)
     report, _ = run_experiment(GREEDY, inst, opt_value=1)
     assert report.opt_crossings == 1
+
+
+@pytest.mark.parametrize(
+    "opt_value, message",
+    [
+        (True, "opt_value must be an integer, got True"),
+        (2.5, "opt_value must be an integer, got 2.5"),
+        ("3", "opt_value must be an integer, got '3'"),
+        (-1, "need opt_value >= 0, got -1"),
+    ],
+)
+def test_external_opt_value_is_checked_before_the_game(opt_value, message):
+    def never(board, request):
+        raise AssertionError("the game was played")
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_experiment(OnlineAlgorithm("never", never), random_two_regular(6, 1), opt_value=opt_value)
 
 
 def test_audit_trace_flags_constructed_gap():

@@ -5,12 +5,12 @@ from hypothesis import given, strategies as st
 
 from oscm.model import (
     Instance,
+    PlacementState,
     RegularityClass,
     Request,
     SlotOccupiedError,
     SlotRangeError,
     apply,
-    empty_state,
     instance_from_dict,
     instance_to_dict,
     make_request,
@@ -75,7 +75,7 @@ def test_validate_general_skips_degree_bound():
 
 
 def test_apply_basics():
-    state = empty_state(3)
+    state = PlacementState(3)
     state = apply(state, Request(1, 2), 2)
     assert state.placed == {2: Request(1, 2)}
     assert state_degrees(state) == [0, 1, 1, 0]
@@ -86,7 +86,7 @@ def test_apply_basics():
 
 
 def test_apply_refuses_a_vertex_above_n():
-    state = empty_state(3)
+    state = PlacementState(3)
     with pytest.raises(ValueError, match=r"^request \(1,5\) has a vertex above n=3$"):
         apply(state, Request(1, 5), 1)
     # The slot is checked first, as `ReplayBoard.place` checks it.
@@ -96,19 +96,19 @@ def test_apply_refuses_a_vertex_above_n():
 
 
 def test_apply_is_persistent():
-    before = empty_state(3)
+    before = PlacementState(3)
     after = apply(before, Request(1, 2), 1)
     assert before.placed == {}
     assert after.placed != before.placed
 
 
 def test_free_slots():
-    state = empty_state(5)
+    state = PlacementState(5)
     state = apply(state, Request(1, 3), 2)
     state = apply(state, Request(3, 5), 5)
     assert free_slots(state) == [1, 3, 4]
-    assert free_slots(empty_state(3)) == [1, 2, 3]
-    full = empty_state(2)
+    assert free_slots(PlacementState(3)) == [1, 2, 3]
+    full = PlacementState(2)
     full = apply(full, Request(1, 2), 1)
     full = apply(full, Request(1, 2), 2)
     assert free_slots(full) == []
@@ -144,7 +144,7 @@ def test_random_two_regular_always_valid(n, seed):
 @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=500))
 def test_degree_sum_matches_placed_count(n, seed):
     inst = random_two_regular(n, seed)
-    state = empty_state(n)
+    state = PlacementState(n)
     for slot, req in enumerate(inst.requests, start=1):
         state = apply(state, req, slot)
         assert sum(state_degrees(state)) == 2 * len(state.placed)

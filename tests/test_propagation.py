@@ -1,13 +1,16 @@
+import functools
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
-from oscm.algorithms import ALGORITHMS, play
+from oscm.adversaries import Thm2Adversary, fig8_instance
+from oscm.algorithms import ALGORITHMS, GREEDY, greedy_scores, play
 from oscm.model import (
     PlacementState,
     Request,
     SlotRangeError,
     apply,
-    empty_state,
     random_two_regular,
 )
 from oscm.propagation import (
@@ -18,6 +21,8 @@ from oscm.propagation import (
     audit_no_double_cross,
 )
 from oracles import (
+    added_crossings,
+    edge_arrow_crossings,
     free_slots,
     oracle_equator,
     scratch_arrows,
@@ -27,18 +32,18 @@ from oracles import (
 
 
 def fig4_state():
-    state = empty_state(5)
+    state = PlacementState(5)
     state = apply(state, Request(1, 3), 2)
     return apply(state, Request(3, 5), 5)
 
 
 def test_unfulfilled_vertices():
-    assert unfulfilled_vertices(empty_state(3)) == [1, 1, 2, 2, 3, 3]
+    assert unfulfilled_vertices(PlacementState(3)) == [1, 1, 2, 2, 3, 3]
     assert unfulfilled_vertices(fig4_state()) == [1, 2, 2, 4, 4, 5]
 
 
 def test_unfulfilled_vertices_overflow():
-    state = empty_state(3)
+    state = PlacementState(3)
     for slot in (1, 2, 3):
         state = apply(state, Request(1, 2), slot)
     for build in (unfulfilled_vertices, arrows):
@@ -48,7 +53,7 @@ def test_unfulfilled_vertices_overflow():
 
 def test_unfulfilled_slots():
     assert unfulfilled_slots(fig4_state()) == [1, 1, 3, 3, 4, 4]
-    assert unfulfilled_slots(empty_state(2)) == [1, 1, 2, 2]
+    assert unfulfilled_slots(PlacementState(2)) == [1, 1, 2, 2]
 
 
 def test_arrows_golden_partial_state():
@@ -63,8 +68,8 @@ def test_arrows_golden_partial_state():
 
 
 def test_arrows_empty_and_full():
-    assert arrows(empty_state(2)) == ((1, 1), (1, 1), (2, 2), (2, 2))
-    full = empty_state(2)
+    assert arrows(PlacementState(2)) == ((1, 1), (1, 1), (2, 2), (2, 2))
+    full = PlacementState(2)
     full = apply(full, Request(1, 2), 1)
     full = apply(full, Request(1, 2), 2)
     assert arrows(full) == ()
@@ -87,7 +92,7 @@ def _random_reachable_state(n, seed):
 
     rng = random.Random(seed)
     inst = random_two_regular(n, rng.randrange(2**31))
-    state = empty_state(n)
+    state = PlacementState(n)
     cut = rng.randint(0, n)
     for req in inst.requests[:cut]:
         state = apply(state, req, rng.choice(free_slots(state)))
@@ -138,19 +143,19 @@ def test_audit_equator_counts_each_cut_as_defined(data):
 def test_audit_equator_hand_values():
     # Balanced at every cut: (1, 3) and (3, 1) cross cuts 1 and 2 in
     # opposite directions, and (2, 2) crosses none.
-    assert _equator_with_arrows(empty_state(3), [(1, 3), (3, 1), (2, 2)]) == []
-    assert _equator_with_arrows(empty_state(2), [(1, 2)]) == [
+    assert _equator_with_arrows(PlacementState(3), [(1, 3), (3, 1), (2, 2)]) == []
+    assert _equator_with_arrows(PlacementState(2), [(1, 2)]) == [
         "cut (v<=1, s<=1): 1 left-to-right vs 0 right-to-left"
     ]
     # Outside 1..n: (0, 2) crosses cut 1 only, (4, 1) cuts 1, 2 and 3.
-    assert _equator_with_arrows(empty_state(3), [(0, 2), (4, 1)]) == [
+    assert _equator_with_arrows(PlacementState(3), [(0, 2), (4, 1)]) == [
         "cut (v<=2, s<=2): 0 left-to-right vs 1 right-to-left",
         "cut (v<=3, s<=3): 0 left-to-right vs 1 right-to-left",
     ]
     # The placed edges count too: the edge (1, 2) crosses cut 1 left to
     # right, which the arrow (3, 1) balances; nothing balances the arrow
     # at cut 2.
-    state = apply(empty_state(3), Request(1, 2), 2)
+    state = apply(PlacementState(3), Request(1, 2), 2)
     assert _equator_with_arrows(state, [(3, 1)]) == [
         "cut (v<=2, s<=2): 0 left-to-right vs 1 right-to-left",
     ]
@@ -165,7 +170,7 @@ def test_arrow_update_is_local(n, seed):
 
     rng = random.Random(seed)
     inst = random_two_regular(n, rng.randrange(2**31))
-    state = empty_state(n)
+    state = PlacementState(n)
     for req in inst.requests:
         slot = rng.choice(free_slots(state))
         before = arrows(state)
@@ -183,7 +188,7 @@ def test_arrow_update_is_local(n, seed):
 def test_double_cross_detects_constructed_violation():
     # (3,4) fulfilled in the middle while vertex 2's two arrows both point
     # past it: both arrows cross both edges of the fulfilled slot.
-    state = empty_state(4)
+    state = PlacementState(4)
     state = apply(state, Request(3, 4), 1)
     state = apply(state, Request(1, 3), 2)
     state = apply(state, Request(1, 4), 3)
@@ -194,7 +199,7 @@ def test_double_cross_detects_constructed_violation():
 
 
 def test_double_cross_clean_on_empty_state():
-    assert audit_no_double_cross(empty_state(5)) == []
+    assert audit_no_double_cross(PlacementState(5)) == []
 
 
 def test_greedy_double_cross_is_rare_with_known_exceptions():
@@ -210,10 +215,64 @@ def test_greedy_double_cross_is_rare_with_known_exceptions():
     for n in range(2, 11):
         for seed in range(0, 60):
             trace = play(random_two_regular(n, seed), ALGORITHMS["greedy"])
-            state = empty_state(n)
+            state = PlacementState(n)
             for step in trace.steps:
                 state = apply(state, step.request, step.slot)
                 if audit_no_double_cross(state):
                     violating.add((n, seed))
                     break
     assert violating == known_exceptions
+
+
+def arrow_bounds(trace):
+    """LB on the empty board and after each step of `trace`: the step's
+    edge-edge total plus the edge-arrow crossings counted from scratch
+    (`oracles.edge_arrow_crossings`), not by the board."""
+    state, bounds = PlacementState(trace.n), [0]
+    for step in trace.steps:
+        state = apply(state, step.request, step.slot)
+        bounds.append(step.edge_edge_total + edge_arrow_crossings(state))
+    return bounds
+
+
+def test_arrow_bound_is_a_potential():
+    # The `propagation` docstring's proof: LB never falls, never exceeds
+    # the final crossings, and ends equal to them. Every source here is
+    # 2-regular, so the arrows of every state are defined.
+    makers = [
+        functools.partial(random_two_regular, n, seed) for n in (6, 10, 20, 40) for seed in range(10)
+    ]
+    makers += [functools.partial(Thm2Adversary, rounds) for rounds in range(1, 9)]
+    makers += [functools.partial(fig8_instance, n) for n in (4, 10, 40)]
+    steps = 0
+    for make, alg in product(makers, ALGORITHMS.values()):
+        trace = play(make(), alg)
+        bounds, final = arrow_bounds(trace), trace.steps[-1].edge_edge_total
+        where = f"{alg.name} on {make.func.__name__}{make.args}"
+        assert bounds == sorted(bounds), where
+        assert max(bounds) <= final and bounds[-1] == final, where
+        steps += len(trace.steps)
+    assert steps == 3126
+
+
+@pytest.mark.parametrize("n", [6, 10, 16])
+def test_greedy_scores_are_steps_of_the_arrow_bound(n):
+    # Greedy's score of each free slot is LB with the request placed there,
+    # less LB at the leftmost free slot, both counted from scratch.
+    checked = 0
+    for seed in range(10):
+        state, total = PlacementState(n), 0
+        for step in play(random_two_regular(n, seed), GREEDY).steps:
+            free, request = free_slots(state), step.request
+            if len(free) > 1:
+                bounds = [
+                    total
+                    + added_crossings(state, request, t)
+                    + edge_arrow_crossings(apply(state, request, t))
+                    for t in free
+                ]
+                expected = [lb - bounds[0] for lb in bounds]
+                assert greedy_scores(ReplayBoard.of(state), request) == expected, (seed, step)
+                checked += 1
+            state, total = apply(state, request, step.slot), step.edge_edge_total
+    assert checked == 10 * (n - 1)

@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from oscm.adversaries import fig8_instance, thm1_adversary
+from oscm.adversaries import Thm1Adversary, fig8_instance
 from oscm.algorithms import ALGORITHMS, FIRST_FIT, GREEDY, play
 from oscm.model import (
     Instance,
@@ -11,19 +11,18 @@ from oscm.model import (
     Request,
     SlotRangeError,
     apply,
-    empty_state,
     random_two_regular,
 )
-from oscm.render import RenderSpec, render_svg
+from oscm.render import render_svg
 
 
 def fig4_state():
-    state = apply(empty_state(5), Request(1, 3), 2)
+    state = apply(PlacementState(5), Request(1, 3), 2)
     return apply(state, Request(3, 5), 5)
 
 
 def test_empty_board_counts():
-    svg = render_svg(empty_state(3))
+    svg = render_svg(PlacementState(3))
     assert svg.count('class="slot"') == 3
     assert svg.count('class="vertex"') == 3
     assert svg.count('class="arrow"') == 6
@@ -39,14 +38,14 @@ def test_partial_state_counts():
 
 
 def test_full_state_has_no_arrows():
-    state = apply(empty_state(2), Request(1, 2), 1)
+    state = apply(PlacementState(2), Request(1, 2), 1)
     state = apply(state, Request(1, 2), 2)
-    svg = render_svg(state, RenderSpec(show_arrows=True))
+    svg = render_svg(state, show_arrows=True)
     assert svg.count('class="arrow"') == 0
 
 
 def test_arrows_can_be_hidden():
-    svg = render_svg(empty_state(4), RenderSpec(show_arrows=False))
+    svg = render_svg(PlacementState(4), show_arrows=False)
     assert svg.count('class="arrow"') == 0
 
 
@@ -56,7 +55,7 @@ def test_slot_outside_the_board_is_refused(show_arrows):
     # not arrows are drawn.
     state = PlacementState(n=3, placed={5: Request(1, 2)})
     with pytest.raises(SlotRangeError, match="^slot 5 out of range 1..3$"):
-        render_svg(state, RenderSpec(show_arrows=show_arrows))
+        render_svg(state, show_arrows=show_arrows)
 
 
 @pytest.mark.parametrize("show_arrows", [True, False])
@@ -65,15 +64,22 @@ def test_vertex_above_n_is_refused(show_arrows):
     # board refuses it before any edit, whether or not arrows are drawn.
     state = PlacementState(n=3, placed={1: Request(1, 5)})
     with pytest.raises(ValueError, match=r"^request \(1,5\) has a vertex above n=3$"):
-        render_svg(state, RenderSpec(show_arrows=show_arrows))
+        render_svg(state, show_arrows=show_arrows)
 
 
 def test_highlight_marks_requested_edges():
-    svg = render_svg(fig4_state(), RenderSpec(highlight=(0,)))
+    svg = render_svg(fig4_state(), highlight=(0,))
     assert svg.count('class="edge highlight"') == 2
     assert svg.count('class="edge"') == 2
     with pytest.raises(ValueError):
-        render_svg(fig4_state(), RenderSpec(highlight=(5,)))
+        render_svg(fig4_state(), highlight=(5,))
+
+
+@pytest.mark.parametrize("index", [True, 0.0, "0"])
+def test_highlight_index_must_be_an_int(index):
+    # A bool is refused too, though True would otherwise name request 1.
+    with pytest.raises(ValueError, match=f"^highlight index must be an integer, got {index!r}$"):
+        render_svg(fig4_state(), highlight=(index,))
 
 
 def test_render_is_byte_stable():
@@ -87,7 +93,7 @@ def test_render_is_byte_stable():
 def prefix_states(source, alg):
     """The empty board and every state after each step of one game."""
     trace = play(source, alg)
-    state = empty_state(trace.n)
+    state = PlacementState(trace.n)
     states = [state]
     for step in trace.steps:
         state = apply(state, step.request, step.slot)
@@ -98,10 +104,9 @@ def prefix_states(source, alg):
 def render_grid_sha256(states):
     """sha256 of every state rendered with arrows, without them, and with
     its first and last placed requests highlighted."""
-    specs = (RenderSpec(), RenderSpec(show_arrows=False))
-    svgs = [render_svg(state, spec) for state in states for spec in specs]
+    svgs = [render_svg(state, show_arrows=shown) for state in states for shown in (True, False)]
     svgs += [
-        render_svg(state, RenderSpec(highlight=(0, len(state.placed) - 1)))
+        render_svg(state, highlight=(0, len(state.placed) - 1))
         for state in states
         if state.placed
     ]
@@ -111,13 +116,13 @@ def render_grid_sha256(states):
 def overflow_finals():
     # thm1's last request pushes a vertex to degree three, and a general
     # instance may do so at any step: those states render without arrows.
-    finals = [prefix_states(thm1_adversary(n), alg)[-1] for n in (4, 6) for alg in ALGORITHMS.values()]
+    finals = [prefix_states(Thm1Adversary(n), alg)[-1] for n in (4, 6) for alg in ALGORITHMS.values()]
     inst = Instance(n=5, requests=(Request(1, 2), Request(1, 3), Request(1, 4), Request(2, 5)))
     return finals + prefix_states(inst, FIRST_FIT)[1:]
 
 
 RENDER_GRID = {
-    "empty boards n=1..8": lambda: [empty_state(n) for n in range(1, 9)],
+    "empty boards n=1..8": lambda: [PlacementState(n) for n in range(1, 9)],
     "fig4": lambda: [fig4_state()],
     **{
         f"{name} on {label}, every prefix": functools.partial(prefix_states, make(), ALGORITHMS[name])

@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oscm.adversaries import fig8_instance, thm1_adversary, thm2_adversary
+from oscm.adversaries import Thm1Adversary, Thm2Adversary, fig8_instance
 from oscm.algorithms import (
     ALGORITHMS,
     OnlineAlgorithm,
@@ -46,7 +46,6 @@ from oscm.model import (
     SlotOccupiedError,
     SlotRangeError,
     apply,
-    empty_state,
     random_two_regular,
 )
 from oscm.propagation import (
@@ -145,7 +144,7 @@ def oracle_double_cross(state, arr=None):
 
 def oracle_audit_trace(trace):
     findings = []
-    state = empty_state(trace.n)
+    state = PlacementState(trace.n)
     for idx, step in enumerate(trace.steps, start=1):
         findings.extend(f"step {idx}: {f}" for f in oracle_gap(state, step.request, step.slot))
         state = apply(state, step.request, step.slot)
@@ -176,7 +175,7 @@ def assert_state_matches(state):
 def assert_trace_matches(trace):
     """Every state of the trace, every step's gap audit, the final pair
     kinds and the whole audit output agree with the oracles."""
-    state = empty_state(trace.n)
+    state = PlacementState(trace.n)
     for step in trace.steps:
         state = apply(state, step.request, step.slot)
         assert_state_matches(state)
@@ -206,8 +205,8 @@ def two_regular_setups(alg):
 
 
 def adversary_setups(alg):
-    sources = [thm1_adversary(n) for n in (4, 7, 12)]
-    sources += [thm2_adversary(rounds) for rounds in (1, 2)]
+    sources = [Thm1Adversary(n) for n in (4, 7, 12)]
+    sources += [Thm2Adversary(rounds) for rounds in (1, 2)]
     sources += [fig8_instance(n) for n in (4, 8, 14)]
     for source in sources:
         yield source, alg
@@ -291,8 +290,8 @@ def test_scoring_matches_oracles_on_general_instances():
 def test_findings_match_the_oracle_on_the_adversary_cli_games(alg):
     # The games of `oscm adversary` that the benchmark times, far above the
     # grid's sizes: fig8 and first_fit games are heavy with findings.
-    sources = [thm2_adversary(rounds) for rounds in (4, 6, 8, 10)]
-    sources += [make(n) for make in (thm1_adversary, fig8_instance) for n in (20, 40)]
+    sources = [Thm2Adversary(rounds) for rounds in (4, 6, 8, 10)]
+    sources += [make(n) for make in (Thm1Adversary, fig8_instance) for n in (20, 40)]
     for source in sources:
         report, trace = run_experiment(alg, source)
         expected = oracle_audit_trace(trace)
@@ -329,7 +328,7 @@ def test_scoring_matches_oracles_on_partial_and_hand_built_states():
         # A board loads a state in slot order, so the arrows and both audits
         # raise the first error `apply` raises in that order: SlotRangeError
         # for a slot outside 1..n, ValueError for a vertex above n.
-        loaded = outcome(functools.reduce, apply_item, state_items(state), empty_state(n))
+        loaded = outcome(functools.reduce, apply_item, state_items(state), PlacementState(n))
         if isinstance(loaded, tuple):
             refusals.add(loaded[0])
             for fn in (ReplayBoard.of, arrows, audit_no_double_cross, audit_equator):
@@ -416,7 +415,7 @@ def test_segment_crossings_matches_pairwise_count(edges, segments):
 
 
 def test_audit_equator_words_an_unbalanced_arrow_set(monkeypatch):
-    state = apply(empty_state(4), Request(1, 2), 2)
+    state = apply(PlacementState(4), Request(1, 2), 2)
     assert audit_equator(state) == []
     # Shift one arrow's vertex from 3 to 1 on the board: the cuts between
     # move one segment across in the left-to-right direction.
@@ -446,7 +445,7 @@ def test_audit_trace_shares_the_board_arrows_between_both_audits(monkeypatch):
     monkeypatch.setattr(ReplayBoard, "place", place_then_corrupt)
     # first_fit leaves no free slot between placed ones, so no gap findings.
     findings = audit_trace(trace)
-    state = empty_state(trace.n)
+    state = PlacementState(trace.n)
     expected = []
     for idx, step in enumerate(trace.steps, start=1):
         state = apply(state, step.request, step.slot)
@@ -464,7 +463,7 @@ def per_step_states(trace):
     each built anew with `apply`. A placement `apply` refuses, or a stored
     total other than the running sum of `added_crossings`, raises
     ReplayMismatchError at its step, as the board's replay does."""
-    state = empty_state(trace.n)
+    state = PlacementState(trace.n)
     edge_edge_total = 0
     for idx, step in enumerate(trace.steps, start=1):
         try:
@@ -723,7 +722,7 @@ def test_a_slot_that_is_not_an_int_is_refused_before_anything_is_edited(slot):
         board.place(Request(1, 2), slot)
     assert board_lists(board) == before
     with pytest.raises(SlotRangeError, match=error):
-        apply(empty_state(3), Request(1, 2), slot)
+        apply(PlacementState(3), Request(1, 2), slot)
     scripted = OnlineAlgorithm(name="scripted", choose=lambda board, request: slot)
     with pytest.raises(SlotRangeError, match=error):
         play(Instance(n=3, requests=(Request(1, 2),)), scripted)
